@@ -21,7 +21,7 @@ import itertools
 from typing import Optional
 
 from .grading import BigradedSpace, InternalDegree, internal_zero
-from .linalg import Eliminator, FpMatrix, kernel_basis, rref, vec_add_scaled
+from .linalg import Eliminator, column_echelon, vec_add_scaled
 from .groups import AlgebraMap, GradedGroupAlgebra
 
 DEFAULT_WORD_BUDGET = 5_000_000
@@ -61,7 +61,8 @@ class BarComplex:
         self._comult = self._build_comult()
         self._blocks: dict[int, dict[InternalDegree, list[tuple]]] = {}
         self._ranks: dict[tuple[int, InternalDegree], int] = {}
-        self._structs: dict = {}
+        self._structs: dict[tuple[int, InternalDegree], BlockStruct] = {}
+        self._indexes: dict[tuple[int, InternalDegree], dict[tuple, int]] = {}
         self._cohomology: Optional[CohomologyData] = None
 
     def _build_comult(self) -> dict[int, list[tuple[int, int, int]]]:
@@ -180,24 +181,38 @@ class BarComplex:
                 out[s] = dim
         return out
 
+    def word_index(self, n: int, s: InternalDegree) -> dict[tuple, int]:
+        """Position of each word in block (n, s), built once per block."""
+        key = (n, s)
+        cached = self._indexes.get(key)
+        if cached is None:
+            cached = {w: i for i, w in enumerate(self._iter_words(n, s))}
+            self._indexes[key] = cached
+        return cached
+
+    def cochain_block(self, cochain: dict[tuple, int]) -> tuple[int, InternalDegree]:
+        """The (n, s) block of a nonzero homogeneous cochain."""
+        lengths = {len(w) for w in cochain}
+        if len(lengths) != 1:
+            raise ValueError("cochain mixes word lengths")
+        degs = {self.word_degree(w) for w in cochain}
+        if len(degs) != 1:
+            raise ValueError("cochain mixes internal degrees")
+        return lengths.pop(), degs.pop()
+
     def struct(self, n: int, s: InternalDegree) -> "BlockStruct":
-        """Full elimination data for block (n, s); small blocks only."""
+        """Forward elimination data of the differential leaving block (n, s)."""
+        if n >= self.cap:
+            raise ValueError("struct needs the target degree within the cap")
         key = (n, s)
         cached = self._structs.get(key)
         if cached is not None:
             return cached
-        source = self.blocks(n).get(s, [])
-        target = list(self._iter_words(n + 1, s)) if n + 1 <= self.cap else []
-        tindex = {w: i for i, w in enumerate(target)}
-        entries: dict[tuple[int, int], int] = {}
-        for j, word in enumerate(source):
-            for tw, c in self.d_row(word).items():
-                entries[(tindex[tw], j)] = c
-        matrix = FpMatrix(self.field, len(target), len(source), entries)
-        red, pivots = rref(matrix)
-        kernels = kernel_basis(matrix)
-        st = BlockStruct(self, n, s, source, target, tindex, matrix,
-                         list(pivots), kernels)
+        tindex = self.word_index(n + 1, s)
+        images = [{tindex[w]: c for w, c in self.d_row(word).items()}
+                  for word in self.blocks(n).get(s, [])]
+        pivot_cols, kernels = column_echelon(self.field, images, len(tindex))
+        st = BlockStruct(pivot_cols, [images[j] for j in pivot_cols], kernels)
         self._structs[key] = st
         return st
 
@@ -210,45 +225,93 @@ class BarComplex:
 class BlockStruct:
     """Elimination data of the differential leaving one (n, s) block.
 
-    pivot_cols index the source words whose images greedily span the
-    boundary space one degree up; kernels follow the standard free-variable
-    rule, so everything downstream is deterministic.
+    Source words are taken in lex order.  pivot_cols index the source
+    words whose images greedily span the boundary space one degree up,
+    images holds those images d(e_j) as position vectors over the target
+    block, and kernels follow the standard free-variable rule, so
+    everything downstream is deterministic.
     """
 
-    def __init__(self, bar: BarComplex, n: int, s: InternalDegree,
-                 source: list[tuple], target: list[tuple], tindex: dict,
-                 matrix: FpMatrix, pivot_cols: list[int], kernels: list[dict]):
-        self.bar = bar
-        self.n = n
-        self.s = s
-        self.source = source
-        self.target = target
-        self.tindex = tindex
-        self.matrix = matrix
+    def __init__(self, pivot_cols: list[int], images: list[dict],
+                 kernels: list[dict]):
         self.pivot_cols = pivot_cols
+        self.images = images
         self.kernels = kernels
 
-    @property
-    def rank(self) -> int:
-        return len(self.pivot_cols)
 
-    def boundary_columns(self) -> list[dict]:
-        """Unreduced boundary basis: d(e_j) for each pivot source position j."""
-        return [ {i: c for (i, jj), c in self.matrix.entries.items() if jj == j}
-                 for j in self.pivot_cols ]
+class BlockBasis:
+    """One (n, s) block eliminated over the basis B + R + U.
+
+    B holds the pivot images d(e_w) of the block below, one per word w of
+    b_words; R the class representatives, each a kernel vector of the block
+    reduced against B and the earlier representatives, tags dropped; U the
+    unit vectors at the block's own pivot columns.  Basis vector k enters
+    the eliminator tagged with a 1 at column dim + k, so a vector reduced
+    to zero leaves minus its coordinates in the tags.  B + R spans the
+    cocycles, so a cochain is a cocycle exactly when its U part is zero.
+    """
+
+    def __init__(self, bar: BarComplex, n: int, s: InternalDegree):
+        self.index = bar.word_index(n, s)
+        self.dim = len(self.index)
+        self.elim = Eliminator(bar.field)
+        self.b_words: list[tuple] = []
+        if n > 0:
+            below = bar.struct(n - 1, s)
+            words = bar.blocks(n - 1).get(s, [])
+            self.b_words = [words[j] for j in below.pivot_cols]
+            for image in below.images:
+                self._add(image)
+        self.reps: list[dict] = []
+        here = bar.struct(n, s)
+        for kernel in here.kernels:
+            rep = {i: c for i, c in self.elim.reduce(kernel).items()
+                   if i < self.dim}
+            if rep:
+                self.reps.append(rep)
+                self._add(rep)
+        for j in here.pivot_cols:
+            self._add({j: 1})
+        if self.elim.rank != self.dim:
+            raise AssertionError(f"block ({n}, {s}): basis does not span")
+
+    def _add(self, vec: dict) -> None:
+        row = dict(vec)
+        row[self.dim + self.elim.rank] = 1
+        lead = self.elim.add_row(row)
+        if lead is None or lead >= self.dim:
+            raise AssertionError("block basis is singular")
+
+    def coords(self, cochain: dict[tuple, int]) -> tuple[dict, dict, dict]:
+        """Coordinates of a cochain of this block on B, R and U, each part
+        indexed from 0."""
+        p = self.elim.field.p
+        nb, nr = len(self.b_words), len(self.reps)
+        b: dict[int, int] = {}
+        r: dict[int, int] = {}
+        u: dict[int, int] = {}
+        vec = {self.index[w]: c for w, c in cochain.items()}
+        for i, c in self.elim.reduce(vec).items():
+            k = i - self.dim
+            if k < nb:
+                b[k] = p - c
+            elif k < nb + nr:
+                r[k - nb] = p - c
+            else:
+                u[k - nb - nr] = p - c
+        return b, r, u
 
 
 class CohomologyData:
     """Bigraded cohomology of a bar complex, with lazy representatives.
 
     Labels look like "h2:1#0": degree, internal degree, then the index of
-    the class inside its block.  Representatives are kernel vectors reduced
-    against the boundary space in elimination order.
+    the class inside its block.  Representatives and class coordinates come
+    from each block's BlockBasis.
     """
 
     def __init__(self, bar: BarComplex):
         self.bar = bar
-        p = bar.field.p
         basis = []
         self.block_of: dict[str, tuple[int, InternalDegree, int]] = {}
         self.block_labels: dict[tuple[int, InternalDegree], list[str]] = {}
@@ -263,9 +326,7 @@ class CohomologyData:
                 self.block_labels[(n, s)] = labels
         self.space = BigradedSpace(bar.field, basis)
         self._reps: dict[str, dict[tuple, int]] = {}
-        self._coords_elims: dict = {}
-        self._rep_vectors: dict = {}
-        self._boundary_elims: dict = {}
+        self._bases: dict[tuple[int, InternalDegree], BlockBasis] = {}
 
     def dims_by_degree(self) -> dict[int, int]:
         out: dict[int, int] = {n: 0 for n in range(self.bar.cap)}
@@ -273,28 +334,13 @@ class CohomologyData:
             out[n] += 1
         return out
 
-    # -- representatives -------------------------------------------------------
-
-    def _block_reps(self, n: int, s: InternalDegree) -> list[dict]:
-        """Representative vectors (position space) for one block."""
+    def block_basis(self, n: int, s: InternalDegree) -> BlockBasis:
         key = (n, s)
-        cached = self._rep_vectors.get(key)
-        if cached is not None:
-            return cached
-        st = self.bar.struct(n, s)
-        elim = Eliminator(self.bar.field)
-        if n > 0:
-            below = self.bar.struct(n - 1, s)
-            for col in below.boundary_columns():
-                elim.add_row(col)
-        reps = []
-        for kv in st.kernels:
-            reduced = elim.reduce(kv)
-            if reduced:
-                elim.add_row(reduced)
-                reps.append(reduced)
-        self._rep_vectors[key] = reps
-        return reps
+        got = self._bases.get(key)
+        if got is None:
+            got = BlockBasis(self.bar, n, s)
+            self._bases[key] = got
+        return got
 
     def representative(self, label: str) -> dict[tuple, int]:
         """Cocycle representative as {word: coeff}."""
@@ -302,99 +348,26 @@ class CohomologyData:
         if cached is not None:
             return cached
         n, s, k = self.block_of[label]
-        vec = self._block_reps(n, s)[k]
+        vec = self.block_basis(n, s).reps[k]
         words = self.bar.blocks(n)[s]
         rep = {words[i]: c for i, c in vec.items()}
         self._reps[label] = rep
         return rep
 
-    # -- class coordinates -------------------------------------------------------
-
-    def _coords_elim(self, n: int, s: InternalDegree):
-        key = (n, s)
-        cached = self._coords_elims.get(key)
-        if cached is not None:
-            return cached
-        dim = len(self.bar.blocks(n).get(s, []))
-        elim = Eliminator(self.bar.field)
-        if n > 0:
-            below = self.bar.struct(n - 1, s)
-            for col in below.boundary_columns():
-                elim.add_row(col)
-        for k, rep in enumerate(self._block_reps(n, s)):
-            row = dict(rep)
-            row[dim + k] = 1
-            elim.add_row(row)
-        self._coords_elims[key] = (elim, dim)
-        return elim, dim
-
-    def class_coordinates(self, n: int, s: InternalDegree,
-                          vec: dict[int, int]) -> dict[str, int]:
-        """Coordinates of a cocycle (position vector) in the class basis.
-
-        Raises if the vector is not a cocycle of the block modulo boundaries.
-        """
-        p = self.bar.field.p
-        elim, dim = self._coords_elim(n, s)
-        rem = elim.reduce(dict(vec))
-        real = {i: c for i, c in rem.items() if i < dim}
-        if real:
-            raise ValueError("vector is not a cocycle modulo boundaries in this block")
-        labels = self.block_labels.get((n, s), [])
-        return {labels[i - dim]: (p - c) % p for i, c in rem.items() if i >= dim}
-
-    @staticmethod
-    def _word_length(cochain: dict[tuple, int]) -> int:
-        lengths = {len(w) for w in cochain}
-        if len(lengths) != 1:
-            raise ValueError("cochain mixes word lengths")
-        return lengths.pop()
-
     def reduce_cocycle(self, cochain: dict[tuple, int]) -> dict[str, int]:
-        """Class of a homogeneous cocycle given as {word: coeff}."""
+        """Class of a homogeneous cocycle given as {word: coeff}.
+
+        Raises if the cochain is not a cocycle, that is when it has a
+        nonzero coordinate on U.
+        """
         if not cochain:
             return {}
-        n = self._word_length(cochain)
-        degs = {self.bar.word_degree(w) for w in cochain}
-        if len(degs) != 1:
-            raise ValueError("cochain mixes internal degrees")
-        s = degs.pop()
-        words = self.bar.blocks(n).get(s, [])
-        index = {w: i for i, w in enumerate(words)}
-        vec = {index[w]: c for w, c in cochain.items()}
-        return self.class_coordinates(n, s, vec)
-
-    def is_nonzero_class(self, cochain: dict[tuple, int]) -> bool:
-        """Whether a homogeneous cocycle is not a coboundary.
-
-        Cheaper than full class coordinates: only the boundary space of the
-        block is eliminated, with words as column keys, so it stays usable
-        on blocks too large for the representative machinery.
-        """
-        if not cochain:
-            return False
-        n = self._word_length(cochain)
-        degs = {self.bar.word_degree(w) for w in cochain}
-        if len(degs) != 1:
-            raise ValueError("cochain mixes internal degrees")
-        s = degs.pop()
-        p = self.bar.field.p
-        coboundary: dict[tuple, int] = {}
-        for w, c in cochain.items():
-            vec_add_scaled(coboundary, self.bar.d_row(w), c, p)
-        if coboundary:
-            raise ValueError("not a cocycle")
-        key = (n, s)
-        elim = self._boundary_elims.get(key)
-        if elim is None:
-            elim = Eliminator(self.bar.field)
-            if n > 0:
-                for word in reversed(self.bar.blocks(n - 1).get(s, [])):
-                    row = self.bar.d_row(word)
-                    if row:
-                        elim.add_row(row)
-            self._boundary_elims[key] = elim
-        return bool(elim.reduce(dict(cochain)))
+        n, s = self.bar.cochain_block(cochain)
+        _, r, u = self.block_basis(n, s).coords(cochain)
+        if u:
+            raise ValueError("vector is not a cocycle modulo boundaries in this block")
+        labels = self.block_labels.get((n, s), [])
+        return {labels[k]: c for k, c in r.items()}
 
     def cup(self, label1: str, label2: str) -> dict[str, int]:
         """Cup product of two classes via concatenation of representatives."""

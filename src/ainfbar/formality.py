@@ -22,7 +22,7 @@ from .groups import (
     GroupSpec, SpecError, build_group_algebra, canonical_spec,
     parse_group_spec, realize_weyl,
 )
-from .linalg import Eliminator, FpMatrix, PrimeField, rref, vec_add_scaled
+from .linalg import Eliminator, PrimeField, rref_rows, vec_add_scaled
 from .transfer import AInfinityStructure
 
 # a monomial is (exterior mask over t_1..t_r, exponent tuple over x_1..x_r)
@@ -215,21 +215,18 @@ def invariant_dims(model: TorusModel) -> InvariantReport:
         basis[d] = []
         for s, monos in model.blocks(d):
             index = {m: i for i, m in enumerate(monos)}
-            n = len(monos)
-            entries: dict[tuple[int, int], int] = {}
+            cols: list[dict[int, int]] = [{} for _ in monos]
             for w in range(order):
                 for j, m in enumerate(monos):
-                    for m2, c in model.act_mono(w, m).items():
-                        key = (index[m2], j)
-                        entries[key] = entries.get(key, 0) + c
-            proj = FpMatrix(model.field, n, n,
-                            {k: v * inv_order for k, v in entries.items()})
-            if proj.matmul(proj) != proj:
-                raise ArithmeticError("averaging projector is not idempotent")
-            image, _ = rref(proj.transpose())
-            for row in image.row_dicts():
-                if not row:
-                    continue
+                    image = {index[m2]: c for m2, c in model.act_mono(w, m).items()}
+                    vec_add_scaled(cols[j], image, inv_order, p)
+            for col in cols:
+                image = {}
+                for k, c in col.items():
+                    vec_add_scaled(image, cols[k], c, p)
+                if image != col:
+                    raise ArithmeticError("averaging projector is not idempotent")
+            for row in rref_rows(model.field, cols):
                 vec = {monos[c]: coeff for c, coeff in row.items()}
                 vecs.append(vec)
                 basis[d].append({model.label(m): c for m, c in sorted(vec.items())})

@@ -80,17 +80,8 @@ class InternalDegree:
         return f"InternalDegree({self.p}, {self.num}, {self.pexp})"
 
 
-def internal_add(a: InternalDegree, b: InternalDegree) -> InternalDegree:
-    return a + b
-
-
 def internal_zero(p: int) -> InternalDegree:
     return InternalDegree(p, 0, 0)
-
-
-def koszul_sign(map_cohdeg: int, elt_cohdeg: int) -> int:
-    """Sign picked up when a degree-|f| map moves past a degree-|a| element."""
-    return -1 if (map_cohdeg * elt_cohdeg) % 2 else 1
 
 
 class BigradedSpace:
@@ -132,20 +123,6 @@ class BigradedSpace:
         for _, coh, _ in self.basis:
             out[coh] = out.get(coh, 0) + 1
         return out
-
-    def tensor(self, other: "BigradedSpace") -> "BigradedSpace":
-        """Tensor product with flattened tuple labels.
-
-        Labels become concatenated tuples, so iterated tensors are equal on
-        the nose regardless of bracketing.
-        """
-        if self.field != other.field:
-            raise ValueError("field mismatch in tensor")
-        basis = []
-        for la, ca, sa in self.basis:
-            for lb, cb, sb in other.basis:
-                basis.append((_tuple_label(la) + _tuple_label(lb), ca + cb, sa + sb))
-        return BigradedSpace(self.field, basis)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, BigradedSpace) and self.field == other.field
@@ -193,10 +170,6 @@ class _LabelKey:
         return self._rank() == other._rank()
 
 
-def _tuple_label(label) -> tuple:
-    return label if isinstance(label, tuple) else (label,)
-
-
 class BigradedMap:
     """Graded linear map between BigradedSpaces with a fixed bidegree shift.
 
@@ -241,50 +214,6 @@ class BigradedMap:
                 vec_add_scaled(out, col, c, p)
         return out
 
-    def compose(self, inner: "BigradedMap") -> "BigradedMap":
-        """self after inner."""
-        if inner.target is not self.source and inner.target != self.source:
-            raise ValueError("composition space mismatch")
-        p = self.source.field.p
-        by_src: dict = {}
-        for (tl, sl), c in inner.entries.items():
-            by_src.setdefault(sl, {})[tl] = c
-        out_cols: dict = {}
-        for (tl, ml), c in self.entries.items():
-            out_cols.setdefault(ml, {})[tl] = c
-        entries: dict = {}
-        for sl, mid in by_src.items():
-            acc: dict = {}
-            for ml, c in mid.items():
-                col = out_cols.get(ml)
-                if col:
-                    vec_add_scaled(acc, col, c, p)
-            for tl, c in acc.items():
-                entries[(tl, sl)] = c
-        return BigradedMap(inner.source, self.target,
-                           self.coh_shift + inner.coh_shift,
-                           self.int_shift + inner.int_shift, entries)
-
-    def add(self, other: "BigradedMap") -> "BigradedMap":
-        if (other.source != self.source or other.target != self.target
-                or other.coh_shift != self.coh_shift or other.int_shift != self.int_shift):
-            raise ValueError("can only add maps of identical shift and spaces")
-        p = self.source.field.p
-        entries = dict(self.entries)
-        for key, c in other.entries.items():
-            new = (entries.get(key, 0) + c) % p
-            if new:
-                entries[key] = new
-            else:
-                entries.pop(key, None)
-        return BigradedMap(self.source, self.target, self.coh_shift,
-                           self.int_shift, entries)
-
-    def scale(self, k: int) -> "BigradedMap":
-        p = self.source.field.p
-        return BigradedMap(self.source, self.target, self.coh_shift, self.int_shift,
-                           {key: (c * k) % p for key, c in self.entries.items()})
-
     def is_zero(self) -> bool:
         return not self.entries
 
@@ -298,33 +227,6 @@ class BigradedMap:
     def __repr__(self) -> str:
         return (f"BigradedMap(shift=({self.coh_shift}, {self.int_shift}), "
                 f"nnz={len(self.entries)})")
-
-
-def identity_map(space: BigradedSpace) -> BigradedMap:
-    return BigradedMap(space, space, 0, internal_zero(space.field.p),
-                       {(l, l): 1 for l in space.labels()})
-
-
-def koszul_tensor(f: BigradedMap, g: BigradedMap) -> BigradedMap:
-    """(f (x) g)(a (x) b) = (-1)^{|g| |a|} f(a) (x) g(b).
-
-    |g| is g's cohomological shift and |a| the cohomological degree of the
-    source basis element.  Tensor labels are flattened tuples, so the
-    operation is strictly associative.
-    """
-    src = f.source.tensor(g.source)
-    tgt = f.target.tensor(g.target)
-    p = src.field.p
-    entries: dict = {}
-    for (ftl, fsl), fc in f.entries.items():
-        sa, _ = f.source.degrees(fsl)
-        sign = koszul_sign(g.coh_shift, sa)
-        for (gtl, gsl), gc in g.entries.items():
-            key = (_tuple_label(ftl) + _tuple_label(gtl),
-                   _tuple_label(fsl) + _tuple_label(gsl))
-            entries[key] = (sign * fc * gc) % p
-    return BigradedMap(src, tgt, f.coh_shift + g.coh_shift,
-                       f.int_shift + g.int_shift, entries)
 
 
 def doubling_check(space: BigradedSpace) -> tuple[bool, list]:

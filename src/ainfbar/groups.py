@@ -48,13 +48,11 @@ class WeylSpec:
     """Description of the acting group before realization.
 
     kind "inversion": Z/2 through -I.  kind "cyclic": Z/k through one
-    generator matrix.  kind "matrix": closure of explicit generators
-    (API only, not reachable from the grammar).
+    generator matrix.
     """
     kind: str
     k: int = 0
     matrix: Optional[tuple[tuple[int, ...], ...]] = None
-    gens: Optional[tuple[tuple[tuple[int, ...], ...], ...]] = None
 
 
 @dataclass(frozen=True)
@@ -289,12 +287,6 @@ def validate_spec(spec: GroupSpec) -> None:
             acc = _mat_mul(acc, gen, mods)
         if acc != _reduce_matrix(_identity_matrix(r), mods):
             raise SpecError(f"action matrix must have order dividing {w.k} at these depths")
-    elif w.kind == "matrix":
-        if not w.gens:
-            raise SpecError("matrix action needs at least one generator")
-        for g in w.gens:
-            if len(g) != r or any(len(row) != r for row in g):
-                raise SpecError(f"action matrices must be {r}x{r}")
     else:
         raise SpecError(f"unknown weyl kind {w.kind!r}")
     if not spec.colimit and spec.weyl is not None and spec.uniform_depth is None:
@@ -318,12 +310,10 @@ def canonical_spec(spec: GroupSpec) -> str:
         if w.kind == "inversion" or (w.kind == "cyclic" and w.k == 2 and w.matrix is not None
                                      and _is_minus_identity(w.matrix, spec)):
             wtxt = "inversion"
-        elif w.kind == "cyclic":
+        else:
             reduced = _reduce_matrix(w.matrix, _row_mods(spec))
             rows = ",".join("[" + ",".join(str(e) for e in row) + "]" for row in reduced)
             wtxt = f"Z{w.k}:[{rows}]"
-        else:
-            raise SpecError("matrix actions have no grammar form; use the API spec object")
         inner = f"semidirect({inner}, {wtxt})"
     return f"colimit({inner})" if spec.colimit else inner
 
@@ -397,9 +387,6 @@ def _identity_matrix(r) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(1 if i == j else 0 for j in range(r)) for i in range(r))
 
 
-_CLOSURE_CAP = 64
-
-
 def realize_weyl(spec: GroupSpec) -> WeylGroup:
     """Build the acting group at this spec's depths (trivial group if none)."""
     r = spec.rank
@@ -408,40 +395,20 @@ def realize_weyl(spec: GroupSpec) -> WeylGroup:
     w = spec.weyl
     if w is None:
         return WeylGroup([ident], [[0]], ["w0"])
-    if w.kind in ("inversion", "cyclic"):
-        if w.kind == "inversion":
-            gen = _reduce_matrix(tuple(tuple(-1 if i == j else 0 for j in range(r))
-                                       for i in range(r)), mods)
-            k = 2
-        else:
-            gen = _reduce_matrix(w.matrix, mods)
-            k = w.k
-        powers = [ident]
-        for _ in range(k - 1):
-            powers.append(_mat_mul(powers[-1], gen, mods))
-        if _mat_mul(powers[-1], gen, mods) != ident:
-            raise SpecError(f"action matrix does not have order dividing {k} at these depths")
-        table = [[(i + j) % k for j in range(k)] for i in range(k)]
-        return WeylGroup(powers, table, [f"w{i}" for i in range(k)])
-    # explicit generators: breadth-first closure, discovery order, capped
-    gens = [_reduce_matrix(g, mods) for g in w.gens]
-    elements = [ident]
-    seen = {ident: 0}
-    queue = [ident]
-    while queue:
-        cur = queue.pop(0)
-        for g in gens:
-            nxt = _mat_mul(cur, g, mods)
-            if nxt not in seen:
-                if len(elements) >= _CLOSURE_CAP:
-                    raise SpecError(f"weyl closure exceeds cap {_CLOSURE_CAP}")
-                seen[nxt] = len(elements)
-                elements.append(nxt)
-                queue.append(nxt)
-    if len(elements) % spec.p == 0:
-        raise SpecError(f"|W| = {len(elements)} is not coprime to p = {spec.p}")
-    table = [[seen[_mat_mul(a, b, mods)] for b in elements] for a in elements]
-    return WeylGroup(elements, table, [f"w{i}" for i in range(len(elements))])
+    if w.kind == "inversion":
+        gen = _reduce_matrix(tuple(tuple(-1 if i == j else 0 for j in range(r))
+                                   for i in range(r)), mods)
+        k = 2
+    else:
+        gen = _reduce_matrix(w.matrix, mods)
+        k = w.k
+    powers = [ident]
+    for _ in range(k - 1):
+        powers.append(_mat_mul(powers[-1], gen, mods))
+    if _mat_mul(powers[-1], gen, mods) != ident:
+        raise SpecError(f"action matrix does not have order dividing {k} at these depths")
+    table = [[(i + j) % k for j in range(k)] for i in range(k)]
+    return WeylGroup(powers, table, [f"w{i}" for i in range(k)])
 
 
 # -- truncated polynomial helpers ----------------------------------------------
@@ -834,8 +801,8 @@ def power_inclusion(lower: GradedGroupAlgebra, higher: GradedGroupAlgebra) -> Al
         raise SpecError("power inclusion connects consecutive depths only")
     if (ls.weyl is None) != (hs.weyl is None):
         raise SpecError("power inclusion needs matching weyl parts")
-    if ls.weyl is not None and (ls.weyl.kind, ls.weyl.k, ls.weyl.matrix, ls.weyl.gens) \
-            != (hs.weyl.kind, hs.weyl.k, hs.weyl.matrix, hs.weyl.gens):
+    if ls.weyl is not None and (ls.weyl.kind, ls.weyl.k, ls.weyl.matrix) \
+            != (hs.weyl.kind, hs.weyl.k, hs.weyl.matrix):
         raise SpecError("power inclusion needs identical weyl descriptions")
     p = ls.p
     columns = {}

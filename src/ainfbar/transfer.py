@@ -3,9 +3,11 @@
 Every internal block C^{n,s} splits as B + R + U: B is spanned by the
 images d(e_j) of the pivot source words one degree down, R by the chosen
 class representatives, U by the pivot coordinate words of the block's own
-differential.  Inverting the column matrix [B | R | U] once per block
-yields the inclusion, projection and contracting homotopy of a strong
-deformation retraction, with all five side identities holding exactly.
+differential.  Coordinates in that basis come from one tagged elimination
+per block (bar.BlockBasis): the R part is the projection, the B part,
+read on the source words e_j, is the contracting homotopy, and the
+representatives are the inclusion of a strong deformation retraction,
+with all five side identities holding exactly.
 
 The higher operations follow the split recursion
 
@@ -24,10 +26,10 @@ from __future__ import annotations
 import itertools
 from typing import Callable, Optional
 
-from .bar import BarComplex, CohomologyData, build_bar
-from .grading import BigradedMap, BigradedSpace, InternalDegree, internal_zero
+from .bar import BarComplex, build_bar
+from .grading import BigradedSpace, internal_zero
 from .groups import GradedGroupAlgebra
-from .linalg import FpMatrix, rref, vec_add_scaled
+from .linalg import vec_add_scaled
 
 DEFAULT_ARITY_CAP = 4
 DEFAULT_DEGREE_CAP = 8
@@ -42,93 +44,12 @@ class CapOverflowError(ValueError):
     """The degree cap cannot be served by the bar complex at hand."""
 
 
-class _BlockSolver:
-    """Coordinates in the B + R + U basis of one (n, s) block."""
-
-    def __init__(self, bar: BarComplex, coh: CohomologyData,
-                 n: int, s: InternalDegree):
-        self.bar = bar
-        self.n = n
-        self.s = s
-        words = bar.blocks(n).get(s, [])
-        self.words = words
-        dim = len(words)
-        self.dim = dim
-        field = bar.field
-
-        b_cols: list[dict] = []
-        self.htp_words: list[tuple] = []
-        if n > 0:
-            below = bar.struct(n - 1, s)
-            b_cols = below.boundary_columns()
-            src_words = bar.blocks(n - 1).get(s, [])
-            self.htp_words = [src_words[j] for j in below.pivot_cols]
-        self.labels = coh.block_labels.get((n, s), [])
-        r_cols = []
-        for label in self.labels:
-            rep = coh.representative(label)
-            index = {w: i for i, w in enumerate(words)}
-            r_cols.append({index[w]: c for w, c in rep.items()})
-        here = bar.struct(n, s)
-        u_cols = [{j: 1} for j in here.pivot_cols]
-
-        self.nb = len(b_cols)
-        self.nr = len(r_cols)
-        self.nu = len(u_cols)
-        if self.nb + self.nr + self.nu != dim:
-            raise AssertionError(
-                f"block ({n}, {s}): {self.nb}+{self.nr}+{self.nu} != {dim}")
-        cols = b_cols + r_cols + u_cols
-        # reduce [M | I]; M invertible, so the right block of the reduced
-        # rows reads off M^{-1}
-        aug = {}
-        for j, col in enumerate(cols):
-            for i, c in col.items():
-                aug[(i, j)] = c
-        for i in range(dim):
-            aug[(i, dim + i)] = 1
-        red, pivots = rref(FpMatrix(field, dim, 2 * dim, aug))
-        if list(pivots) != list(range(dim)):
-            raise AssertionError(f"block ({n}, {s}): basis matrix is singular")
-        self.inv_rows: list[dict] = [dict() for _ in range(dim)]
-        for (r, c), val in red.entries.items():
-            if c >= dim:
-                self.inv_rows[r][c - dim] = val
-
-    def coords(self, vec: dict[int, int]) -> dict[int, int]:
-        p = self.bar.field.p
-        out: dict[int, int] = {}
-        for i, row in enumerate(self.inv_rows):
-            acc = 0
-            for j, c in vec.items():
-                r = row.get(j)
-                if r:
-                    acc += r * c
-            acc %= p
-            if acc:
-                out[i] = acc
-        return out
-
-    def to_vec(self, cochain: dict[tuple, int]) -> dict[int, int]:
-        index = {w: i for i, w in enumerate(self.words)}
-        return {index[w]: c for w, c in cochain.items()}
-
-
 class SDR:
     """Strong deformation retraction of bar cochains onto their cohomology."""
 
     def __init__(self, bar: BarComplex):
         self.bar = bar
         self.coh = bar.cohomology()
-        self._solvers: dict = {}
-
-    def solver(self, n: int, s: InternalDegree) -> _BlockSolver:
-        key = (n, s)
-        got = self._solvers.get(key)
-        if got is None:
-            got = _BlockSolver(self.bar, self.coh, n, s)
-            self._solvers[key] = got
-        return got
 
     def incl(self, label: str) -> dict[tuple, int]:
         return dict(self.coh.representative(label))
@@ -136,22 +57,17 @@ class SDR:
     def proj(self, cochain: dict[tuple, int]) -> dict[str, int]:
         if not cochain:
             return {}
-        n, s = _cochain_block(self.bar, cochain)
-        sol = self.solver(n, s)
-        y = sol.coords(sol.to_vec(cochain))
-        lo = sol.nb
-        return {sol.labels[i - lo]: c for i, c in y.items()
-                if lo <= i < lo + sol.nr}
+        n, s = self.bar.cochain_block(cochain)
+        _, r, _ = self.coh.block_basis(n, s).coords(cochain)
+        labels = self.coh.block_labels.get((n, s), [])
+        return {labels[k]: c for k, c in r.items()}
 
     def htp(self, cochain: dict[tuple, int]) -> dict[tuple, int]:
         if not cochain:
             return {}
-        n, s = _cochain_block(self.bar, cochain)
-        sol = self.solver(n, s)
-        y = sol.coords(sol.to_vec(cochain))
-        return {sol.htp_words[i]: c for i, c in y.items() if i < sol.nb}
-
-    # -- whole-complex views, for the identity checks -------------------------
+        basis = self.coh.block_basis(*self.bar.cochain_block(cochain))
+        b, _, _ = basis.coords(cochain)
+        return {basis.b_words[k]: c for k, c in b.items()}
 
     def verify_identities(self, up_to: Optional[int] = None) -> int:
         """Exact SDR checks on every block basis vector; returns the number
@@ -191,50 +107,6 @@ class SDR:
             if self.proj(rep) != {label: 1}:
                 raise AssertionError(f"proj incl != id on {label}")
         return checked
-
-    def bigraded_views(self, up_to: int):
-        """(incl, proj, htp, d) as BigradedMaps over the truncated complex."""
-        bar = self.bar
-        basis = []
-        for n in range(up_to + 1):
-            for s, words in sorted(bar.blocks(n).items()):
-                basis.extend((w, n, s) for w in words)
-        total = BigradedSpace(bar.field, basis)
-        zero = internal_zero(bar.field.p)
-        inc_entries = {}
-        for label in self.coh.space.labels():
-            if self.coh.space.degrees(label)[0] > up_to:
-                continue
-            for w, c in self.incl(label).items():
-                inc_entries[(w, label)] = c
-        proj_entries = {}
-        htp_entries = {}
-        d_entries = {}
-        for n in range(up_to + 1):
-            for s, words in bar.blocks(n).items():
-                for w in words:
-                    for label, c in self.proj({w: 1}).items():
-                        proj_entries[(label, w)] = c
-                    for w2, c in self.htp({w: 1}).items():
-                        htp_entries[(w2, w)] = c
-                    if n < up_to:
-                        for w2, c in bar.d_row(w).items():
-                            d_entries[(w2, w)] = c
-        incl = BigradedMap(self.coh.space, total, 0, zero, inc_entries)
-        proj = BigradedMap(total, self.coh.space, 0, zero, proj_entries)
-        htp = BigradedMap(total, total, -1, zero, htp_entries)
-        d = BigradedMap(total, total, 1, zero, d_entries)
-        return incl, proj, htp, d
-
-
-def _cochain_block(bar: BarComplex, cochain: dict) -> tuple[int, InternalDegree]:
-    lengths = {len(w) for w in cochain}
-    if len(lengths) != 1:
-        raise ValueError("cochain mixes word lengths")
-    degs = {bar.word_degree(w) for w in cochain}
-    if len(degs) != 1:
-        raise ValueError("cochain mixes internal degrees")
-    return lengths.pop(), degs.pop()
 
 
 def _d_cochain(bar: BarComplex, cochain: dict) -> dict:

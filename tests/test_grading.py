@@ -5,8 +5,7 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from ainfbar.grading import (
-    BigradedMap, BigradedSpace, InternalDegree, doubling_check, identity_map,
-    internal_add, internal_zero, koszul_sign, koszul_tensor,
+    BigradedMap, BigradedSpace, InternalDegree, doubling_check, internal_zero,
 )
 from ainfbar.linalg import PrimeField
 
@@ -43,7 +42,7 @@ def test_internal_degree_lowest_terms(p, n, e):
 
 def test_internal_degree_examples():
     # 1/9 + 2/9 = 3/9 = 1/3
-    d = internal_add(InternalDegree(3, 1, 2), InternalDegree(3, 2, 2))
+    d = InternalDegree(3, 1, 2) + InternalDegree(3, 2, 2)
     assert (d.num, d.pexp) == (1, 1)
     assert internal_zero(3).is_zero()
     assert str(InternalDegree(3, 4, 2)) == "4/3^2"
@@ -89,80 +88,13 @@ def test_shift_validation_rejects_bad_entry():
         BigradedMap(s, t, 1, internal_zero(3), {("v", "a"): 1})
 
 
-def test_map_apply_and_compose():
+def test_map_apply():
     f, s, t = two_spaces()
     d = BigradedMap(s, t, 1, internal_zero(3),
                     {("u", "a"): 0, ("v", "b"): 2, ("w", "c"): 1})
     assert d.apply({"b": 2}) == {"v": 1}
-    ident = identity_map(s)
-    assert d.compose(ident).entries == d.entries
-    z = d.add(d.scale(-1))
-    assert z.is_zero()
-
-
-def test_koszul_sign_rule():
-    assert koszul_sign(1, 1) == -1
-    assert koszul_sign(1, 2) == 1
-    assert koszul_sign(2, 1) == 1
-    assert koszul_sign(0, 5) == 1
-
-
-def test_koszul_tensor_sign_example():
-    # f of degree 0, g of degree 1: (f (x) g)(a (x) b) = (-1)^{|a|} f(a) (x) g(b)
-    p = 3
-    f_field = PrimeField(p)
-    s1 = BigradedSpace(f_field, [("a0", 0, internal_zero(p)),
-                                 ("a1", 1, internal_zero(p))])
-    f = identity_map(s1)
-    g = BigradedMap(s1, s1, 1, internal_zero(p), {("a1", "a0"): 1})
-    fg = koszul_tensor(f, g)
-    # source element (a0, a0): |a| = 0, sign +1
-    assert fg.entries[(("a0", "a1"), ("a0", "a0"))] == 1
-    # source element (a1, a0): |a| = 1, sign -1
-    assert fg.entries[(("a1", "a1"), ("a1", "a0"))] == p - 1
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.randoms(use_true_random=False))
-def test_koszul_tensor_associative(rng):
-    p = 3
-    field = PrimeField(p)
-    def rand_map():
-        n = rng.randrange(1, 3)
-        src = BigradedSpace(field, [(f"s{i}{rng.randrange(10**6)}", rng.randrange(3),
-                                     internal_zero(p)) for i in range(n)])
-        deg = rng.randrange(0, 2)
-        tgt = BigradedSpace(field, [(f"t{i}{rng.randrange(10**6)}",
-                                     src.basis[i][1] + deg, internal_zero(p))
-                                    for i in range(n)])
-        entries = {}
-        for i, (tl, _, _) in enumerate(tgt.basis):
-            for j, (sl, sc, _) in enumerate(src.basis):
-                if tgt.basis[i][1] - sc == deg:
-                    entries[(tl, sl)] = rng.randrange(p)
-        return BigradedMap(src, tgt, deg, internal_zero(p), entries)
-    f, g, h = rand_map(), rand_map(), rand_map()
-    left = koszul_tensor(koszul_tensor(f, g), h)
-    right = koszul_tensor(f, koszul_tensor(g, h))
-    assert left.entries == right.entries
-    assert left.source == right.source and left.target == right.target
-
-
-def test_koszul_tensor_composition_rule():
-    # (f1 (x) g1) o (f0 (x) g0) = (-1)^{|g1||f0|} (f1 o f0) (x) (g1 o g0)
-    p = 5
-    field = PrimeField(p)
-    a = BigradedSpace(field, [("x", 1, internal_zero(p))])
-    b = BigradedSpace(field, [("y", 2, internal_zero(p))])
-    c = BigradedSpace(field, [("z", 3, internal_zero(p))])
-    f0 = BigradedMap(a, b, 1, internal_zero(p), {("y", "x"): 2})
-    f1 = BigradedMap(b, c, 1, internal_zero(p), {("z", "y"): 3})
-    g0 = BigradedMap(a, b, 1, internal_zero(p), {("y", "x"): 1})
-    g1 = BigradedMap(b, c, 1, internal_zero(p), {("z", "y"): 1})
-    lhs = koszul_tensor(f1, g1).compose(koszul_tensor(f0, g0))
-    rhs = koszul_tensor(f1.compose(f0), g1.compose(g0)).scale(
-        koszul_sign(g1.coh_shift, f0.coh_shift))
-    assert lhs == rhs
+    assert not d.is_zero()
+    assert BigradedMap(s, t, 1, internal_zero(3), {("v", "b"): 3}).is_zero()
 
 
 def test_doubling_check():

@@ -84,6 +84,12 @@ def test_weyl_order_must_hold():
     assert w4.size == 4
 
 
+def test_matrix_weyl_kind_is_rejected():
+    spec = GroupSpec(3, (1,), WeylSpec("matrix", 2, ((2,),)))
+    with pytest.raises(SpecError, match="unknown weyl kind"):
+        build_group_algebra(spec)
+
+
 # -- polynomial helpers ----------------------------------------------------------
 
 def test_poly_mul_truncates():

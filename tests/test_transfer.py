@@ -1,7 +1,7 @@
 import pytest
 
 from ainfbar.bar import build_bar
-from ainfbar.grading import BigradedMap, identity_map, internal_zero
+from ainfbar.grading import internal_zero
 from ainfbar.groups import build_group_algebra
 from ainfbar.linalg import vec_add_scaled
 from ainfbar.transfer import (
@@ -33,20 +33,6 @@ def test_sdr_identities_hold_exactly(spec, cap):
     alg = build_group_algebra(spec)
     sdr = SDR(build_bar(alg, cap))
     assert sdr.verify_identities() > 0
-
-
-def test_sdr_bigraded_views_compose():
-    alg = build_group_algebra("cyclic(3^1)")
-    bar = build_bar(alg, 5)
-    sdr = SDR(bar)
-    incl, proj, htp, d = sdr.bigraded_views(4)
-    H = sdr.coh.space
-    assert proj.compose(incl) == identity_map(H)
-    zero = internal_zero(3)
-    assert htp.compose(htp) == BigradedMap(htp.source, htp.target, -2, zero, {})
-    assert proj.compose(htp) == BigradedMap(htp.source, H, -1, zero, {})
-    assert htp.compose(incl) == BigradedMap(H, htp.target, -1, zero, {})
-    assert d.compose(incl) == BigradedMap(H, htp.target, 1, zero, {})
 
 
 def test_m2_matches_independent_cup_product():
