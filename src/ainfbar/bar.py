@@ -13,6 +13,10 @@ word length is the cohomological degree.  Every letter is homogeneous for
 the internal weight, so the complex splits into finite blocks indexed by
 (length, internal degree); all linear algebra happens one block at a time
 and cohomology is reported up to cap - 1.
+
+Letter weights are plain integers over the common denominator p^top, top
+the largest p-exponent among the letter degrees, so word degrees are sums
+of ints; an InternalDegree is built only for a block key.
 """
 
 from __future__ import annotations
@@ -51,7 +55,10 @@ class BarComplex:
         self.cap = cap
         self.budget = budget
         self.letters = algebra.iota_letters()
-        self.letter_deg = {u: algebra.degree(u) for u in self.letters}
+        degs = [algebra.degree(u) for u in self.letters]
+        self.top = max(d.pexp for d in degs)
+        self.letter_wt = {u: d.num * d.p ** (self.top - d.pexp)
+                          for u, d in zip(self.letters, degs)}
         total = 0
         nletters = len(self.letters)
         for n in range(cap + 1):
@@ -74,30 +81,28 @@ class BarComplex:
         return out
 
     def blocks(self, n: int) -> dict[InternalDegree, list[tuple]]:
-        """Words of length n grouped by internal degree, lex order inside."""
+        """Words of length n grouped by internal degree, lex order inside;
+        keys in order of first appearance."""
         cached = self._blocks.get(n)
         if cached is not None:
             return cached
         if n > self.cap:
             raise ValueError(f"degree {n} beyond cap {self.cap}")
-        zero = internal_zero(self.field.p)
-        blocks: dict[InternalDegree, list[tuple]] = {}
-        if n == 0:
-            blocks[zero] = [()]
-        else:
-            for word in itertools.product(self.letters, repeat=n):
-                s = zero
-                for u in word:
-                    s = s + self.letter_deg[u]
-                blocks.setdefault(s, []).append(word)
+        by_wt: dict[int, list[tuple]] = {}
+        for word in itertools.product(self.letters, repeat=n):
+            by_wt.setdefault(self._word_wt(word), []).append(word)
+        blocks = {self._degree(wt): words for wt, words in by_wt.items()}
         self._blocks[n] = blocks
         return blocks
 
+    def _word_wt(self, word: tuple) -> int:
+        return sum(map(self.letter_wt.__getitem__, word))
+
+    def _degree(self, wt: int) -> InternalDegree:
+        return InternalDegree(self.field.p, wt, self.top)
+
     def word_degree(self, word: tuple) -> InternalDegree:
-        s = internal_zero(self.field.p)
-        for u in word:
-            s = s + self.letter_deg[u]
-        return s
+        return self._degree(self._word_wt(word))
 
     def d_row(self, word: tuple) -> dict[tuple, int]:
         """Differential of a dual word, as a dict over target words."""
@@ -138,31 +143,34 @@ class BarComplex:
 
     def _iter_words(self, n: int, s: InternalDegree):
         """Words of length n and internal degree s, in lex order, without
-        materializing the whole degree.  Depth-first with degree-window
-        pruning: a partial word survives only while the remaining degree
-        stays between k * min and k * max over the k open positions."""
+        materializing the whole degree.  Depth-first on integer weights
+        with window pruning: a prefix survives only while the remaining
+        weight stays between k * min and k * max over the k open
+        positions; the last position is a lookup by weight."""
         cached = self._blocks.get(n)
+        if cached is None and n < 2:
+            cached = self.blocks(n)
         if cached is not None:
             yield from cached.get(s, [])
             return
-        letters = self.letters
-        degs = [self.letter_deg[u] for u in letters]
-        lo, hi = min(degs), max(degs)
+        if s.pexp > self.top:
+            return
+        wts = [self.letter_wt[u] for u in self.letters]
+        lo, hi = min(wts), max(wts)
+        last: dict[int, list[int]] = {}
+        for u, wt in zip(self.letters, wts):
+            last.setdefault(wt, []).append(u)
 
-        def rec(prefix: tuple, rem: InternalDegree, k: int):
-            if k == 0:
-                if rem.is_zero():
-                    yield prefix
+        def rec(prefix: tuple, rem: int, k: int):
+            if k == 1:
+                for u in last.get(rem, ()):
+                    yield prefix + (u,)
                 return
-            for u, d in zip(letters, degs):
-                rem2 = rem - d
-                if lo.scaled(k - 1) <= rem2 <= hi.scaled(k - 1):
-                    yield from rec(prefix + (u,), rem2, k - 1)
+            for u, wt in zip(self.letters, wts):
+                if lo * (k - 1) <= rem - wt <= hi * (k - 1):
+                    yield from rec(prefix + (u,), rem - wt, k - 1)
 
-        yield from rec((), s, n)
-
-    def internal_degrees(self, n: int) -> list[InternalDegree]:
-        return sorted(self.blocks(n).keys())
+        yield from rec((), s.num * s.p ** (self.top - s.pexp), n)
 
     def dims(self, n: int) -> dict[InternalDegree, int]:
         """Cohomology dimensions in degree n < cap, per internal block."""
@@ -195,10 +203,10 @@ class BarComplex:
         lengths = {len(w) for w in cochain}
         if len(lengths) != 1:
             raise ValueError("cochain mixes word lengths")
-        degs = {self.word_degree(w) for w in cochain}
-        if len(degs) != 1:
+        wts = {self._word_wt(w) for w in cochain}
+        if len(wts) != 1:
             raise ValueError("cochain mixes internal degrees")
-        return lengths.pop(), degs.pop()
+        return lengths.pop(), self._degree(wts.pop())
 
     def struct(self, n: int, s: InternalDegree) -> "BlockStruct":
         """Forward elimination data of the differential leaving block (n, s)."""

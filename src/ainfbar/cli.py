@@ -3,9 +3,10 @@
 One subcommand per pipeline; every run produces a canonical JSON report
 (sorted keys, compact separators) whose bytes depend only on the spec, the
 prime, and the caps, never on timing or cache state.  Reports are cached
-content-addressed under a digest of (artifact version, command, spec, caps);
-cache files embed a checksum of their payload, are written atomically, and
-fall back to recomputation when unreadable or tampered with.  Timing and
+content-addressed under a digest of (package sources, command, spec, caps),
+so a code change never serves an older report; cache files embed a checksum
+of their payload and fall back to recomputation when unreadable or tampered
+with.  Cache files and --out reports are written atomically.  Timing and
 cache-hit counts go to stderr so the report bytes stay deterministic.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or spec error,
@@ -15,15 +16,16 @@ Exit codes: 0 success, 1 verification failure, 2 usage or spec error,
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import hashlib
 import json
 import os
+import pathlib
 import sys
-import tempfile
 import time
 from typing import Optional
 
-from . import __version__
 from .bar import (
     DEFAULT_WORD_BUDGET, BudgetExceededError, build_bar, restriction,
 )
@@ -47,6 +49,29 @@ def canonical_json(obj) -> str:
 
 def _digest(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+@functools.cache
+def _source_digest() -> str:
+    """SHA-256 over the package's *.py files, read in sorted order."""
+    sha = hashlib.sha256()
+    for path in sorted(pathlib.Path(__file__).parent.glob("*.py")):
+        sha.update(path.name.encode("utf-8") + b"\0" + path.read_bytes())
+    return sha.hexdigest()
+
+
+def _write_atomic(path: str, text: str) -> None:
+    """Write text to path through a per-process temp file beside it and
+    os.replace, so a killed run never leaves a torn file."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
 class ReportCache:
@@ -89,17 +114,7 @@ class ReportCache:
         os.makedirs(self.root, exist_ok=True)
         wrapper = {"digest": _digest(canonical_json(payload)),
                    "payload": payload}
-        fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                fh.write(canonical_json(wrapper))
-            os.replace(tmp, self._path(key))
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        _write_atomic(self._path(key), canonical_json(wrapper))
 
 
 # -- payload builders --------------------------------------------------------
@@ -312,7 +327,7 @@ def _execute(args) -> tuple[int, str, dict]:
     spec = _validated_spec(args)
     runner, with_arity = _RUNNERS[args.command]
     cache = ReportCache(None if args.no_cache else args.cache_dir)
-    key_parts = {"version": __version__, "command": args.command,
+    key_parts = {"source": _source_digest(), "command": args.command,
                  "config": _config_echo(args, spec, with_arity)}
     key = cache.key(key_parts)
     started = time.monotonic()
@@ -354,8 +369,7 @@ def main(argv=None) -> int:
         return 2
     out = getattr(args, "out", None)
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write_atomic(out, text)
     else:
         sys.stdout.write(text)
     footer = f"elapsed {meta['elapsed']:.2f}s"

@@ -1,5 +1,8 @@
+import functools
+import itertools
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from ainfbar.bar import BudgetExceededError, Restriction, build_bar, restriction
 from ainfbar.grading import InternalDegree, internal_zero
@@ -251,6 +254,60 @@ def test_block_basis_coordinates_rebuild_the_vector(bar):
                     for k, c in coords.items():
                         vec_add_scaled(rebuilt, vecs[k], c, p)
                 assert rebuilt == in_positions(bar, n, s, {w: 1})
+
+
+@functools.lru_cache(maxsize=None)
+def cached_algebra(spec):
+    return build_group_algebra(spec)
+
+
+@st.composite
+def enumeration_bars(draw):
+    """Fresh bar complexes over cyclic groups of depth <= 2 and their
+    products, mixed depths included, with and without the inversion or a
+    Z3 action; the cap keeps the top length near 3000 words."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    depths = draw(st.lists(st.integers(1, 2), min_size=1, max_size=2))
+    assume(p ** sum(depths) <= 27)
+    spec = " x ".join(f"cyclic({p}^{d})" for d in depths)
+    action = draw(st.sampled_from(["", "inversion", "Z3"]))
+    if action == "inversion" and p > 2 and len(set(depths)) == 1:
+        spec = f"semidirect({spec}, inversion)"
+    elif action == "Z3" and p != 3 and depths in ([1, 1], [2, 2]):
+        m = p ** depths[0] - 1
+        spec = f"semidirect({spec}, Z3:[[0,{m}],[1,{m}]])"
+    alg = cached_algebra(spec)
+    letters = alg.dim - 1
+    top = max(c for c in range(2, 6) if letters ** c <= 3000 or c == 2)
+    return build_bar(alg, draw(st.integers(2, top)))
+
+
+def reference_blocks(bar, n):
+    """Words of length n grouped by a sum of InternalDegree objects."""
+    out = {}
+    for word in itertools.product(bar.letters, repeat=n):
+        s = internal_zero(bar.field.p)
+        for u in word:
+            s = s + bar.algebra.degree(u)
+        out.setdefault(s, []).append(word)
+    return out
+
+
+@settings(max_examples=30, deadline=None)
+@given(enumeration_bars())
+def test_word_enumeration_matches_internal_degree_reference(bar):
+    p, cap = bar.field.p, bar.cap
+    refs = [reference_blocks(bar, n) for n in range(cap + 1)]
+    degrees = {s for n in range(cap) for s in bar.blocks(n)}
+    unreached = InternalDegree(p, 1, max(s.pexp for s in refs[cap]) + 1)
+    assert unreached not in refs[cap]
+    assert cap not in bar._blocks
+    for s in sorted(degrees) + [unreached]:
+        assert list(bar._iter_words(cap, s)) == refs[cap].get(s, []), s
+    for n in range(cap + 1):
+        assert list(bar.blocks(n).items()) == list(refs[n].items()), n
+        for s, words in refs[n].items():
+            assert all(bar.word_degree(w) == s for w in words)
 
 
 def test_budget_guard_names_degree():

@@ -67,6 +67,25 @@ class TestDeterminism:
         assert text2 == text1
         assert meta["misses"] == 1 and meta["hits"] == 0
 
+    def test_entry_from_other_sources_is_a_miss(self, tmp_path, monkeypatch):
+        argv = ["cohomology", "--spec", "cyclic(3^1)", "--max-degree", "4",
+                "--cache-dir", str(tmp_path)]
+        fresh = run(argv + ["--no-cache"])[1]
+        monkeypatch.setattr(cli, "_source_digest", lambda: "0" * 64)
+        run(argv)
+        (name,) = cache_files(tmp_path)
+        stale = json.loads(fresh)
+        stale["dims"][0] = 7
+        wrapper = {"digest": cli._digest(cli.canonical_json(stale)),
+                   "payload": stale}
+        (tmp_path / name).write_text(cli.canonical_json(wrapper))
+        assert run(argv)[1] != fresh
+        monkeypatch.undo()
+        code, text, meta = run(argv)
+        assert code == 0 and text == fresh
+        assert meta["misses"] == 1 and meta["hits"] == 0
+        assert len(cache_files(tmp_path)) == 2
+
     def test_different_arity_means_different_cache_entry(self, tmp_path):
         base = ["transfer", "--spec", "cyclic(2^1)", "--max-degree", "4",
                 "--cache-dir", str(tmp_path)]
@@ -178,6 +197,32 @@ class TestCliSurface:
         assert code == 0 and captured.out == ""
         payload = json.loads(target.read_text())
         assert payload["dims"] == [1, 1, 1, 1]
+
+    def test_out_flag_replaces_existing_file_whole(self, tmp_path, capsys):
+        target = tmp_path / "report.json"
+        target.write_text("old report\n" * 10000)
+        argv = ["cohomology", "--spec", "cyclic(3^1)", "--max-degree", "3",
+                "--no-cache"]
+        assert cli.main(argv) == 0
+        stdout = capsys.readouterr().out
+        assert cli.main(argv + ["--out", str(target)]) == 0
+        assert capsys.readouterr().out == ""
+        assert target.read_text() == stdout
+        assert os.listdir(tmp_path) == ["report.json"]
+
+    def test_failed_out_write_keeps_the_old_file(self, tmp_path, monkeypatch):
+        target = tmp_path / "report.json"
+        target.write_text("old report\n")
+
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError):
+            cli.main(["cohomology", "--spec", "cyclic(3^1)", "--max-degree",
+                      "3", "--no-cache", "--out", str(target)])
+        assert target.read_text() == "old report\n"
+        assert os.listdir(tmp_path) == ["report.json"]
 
     def test_bad_spec_exits_2_with_structured_error(self, tmp_path, capsys):
         code = cli.main(["cohomology", "--spec", "cyclic(6^1)",

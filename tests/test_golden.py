@@ -49,6 +49,10 @@ CASES = {
     "invariants-sdcolimit-d6": ["invariants", "--spec", SD_COLIMIT, "--max-degree", "6"],
     "compare-sdtorus312-d3": ["compare", "--spec", SD_TORUS, "--max-degree", "3"],
     "splitting-sdtorus312-d3": ["splitting", "--spec", SD_TORUS, "--max-degree", "3"],
+    "transfer-z2xz4-d4-a3": ["transfer", "--spec", "cyclic(2^1) x cyclic(2^2)",
+                             "--max-degree", "4", "--max-arity", "3"],
+    "transfer-z3xz9-d3-a3": ["transfer", "--spec", "cyclic(3^1) x cyclic(3^2)",
+                             "--max-degree", "3", "--max-arity", "3"],
 }
 
 

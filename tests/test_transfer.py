@@ -5,7 +5,7 @@ from ainfbar.grading import internal_zero
 from ainfbar.groups import build_group_algebra
 from ainfbar.linalg import vec_add_scaled
 from ainfbar.transfer import (
-    CapOverflowError, SDR, check_stasheff, sigma, transfer,
+    CapOverflowError, SDR, TransferEngine, check_stasheff, sigma, transfer,
 )
 
 
@@ -131,6 +131,25 @@ def test_cyclic_5_first_higher_operation_at_arity_5():
         for labels, out in st.ops[k].items():
             assert out == {}, labels
     assert st.op((t,) * 5) == {"h2:1#0": 1}
+
+
+@pytest.mark.parametrize("spec,q", [
+    ("cyclic(2^2)", 4), ("cyclic(2^3)", 8), ("cyclic(3^1)", 3),
+    ("cyclic(3^2)", 9), ("cyclic(3^3)", 27), ("cyclic(5^2)", 25),
+    ("cyclic(7^2)", 49),
+])
+def test_lpwz_witness_on_demand(spec, q):
+    # Lu-Palmieri-Wu-Zhang closed form for Ext over k[x]/(x^q):
+    # m_k(t, .., t) = 0 for 2 < k < q, and m_q(t, .., t) = unit * x
+    bar = build_bar(build_group_algebra(spec), 3)
+    space = bar.cohomology().space
+    (t,) = [l for l in space.labels() if space.degrees(l)[0] == 1]
+    (x,) = [l for l in space.labels() if space.degrees(l)[0] == 2]
+    engine = TransferEngine(SDR(bar), 2)
+    for k in range(3, q):
+        assert engine.m((t,) * k) == {}, k
+    out = engine.m((t,) * q)
+    assert list(out) == [x] and out[x] != 0
 
 
 def test_strict_unitality():
