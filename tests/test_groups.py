@@ -1,12 +1,15 @@
 from __future__ import annotations
 
-import pytest
+import itertools
 
-from ainfbar.grading import InternalDegree, internal_zero
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from ainfbar.grading import InternalDegree
 from ainfbar.groups import (
-    GroupSpec, SpecError, WeylSpec, build_group_algebra, canonical_spec,
-    equivariant_splitting, parse_group_spec, poly_mul, poly_pow,
-    power_inclusion, realize_weyl,
+    GradedGroupAlgebra, GroupSpec, SpecError, WeylSpec, _verify_algebra,
+    build_group_algebra, canonical_spec, equivariant_splitting,
+    parse_group_spec, poly_mul, poly_pow, power_inclusion, realize_weyl,
 )
 
 
@@ -238,3 +241,77 @@ def test_iota_products_stay_in_ideal():
         for j in letters:
             out = alg.iota_product(i, j)
             assert alg.unit_index not in out
+
+
+# -- the associativity proof on generators ------------------------------------------
+
+ORACLE_SPECS = [
+    "cyclic(2^1)", "cyclic(2^3)", "cyclic(3^1)", "cyclic(3^2)", "cyclic(5^1)",
+    "cyclic(2^1) x cyclic(2^2)", "torus(3,1,2)",
+    "semidirect(cyclic(3^1), inversion)", "semidirect(cyclic(5^1), inversion)",
+    "semidirect(torus(3,1,2), inversion)",
+    "semidirect(torus(2,1,2), Z3:[[0,1],[1,1]])",
+]
+
+
+def brute_force_failing_triple(alg):
+    """First basis triple (i, j, k) with (e_i e_j) e_k != e_i (e_j e_k)."""
+    for i, j, k in itertools.product(range(alg.dim), repeat=3):
+        if alg.mult_vec(alg.mult(i, j), {k: 1}) != alg.mult_vec({i: 1}, alg.mult(j, k)):
+            return i, j, k
+    return None
+
+
+@pytest.mark.parametrize("text", ORACLE_SPECS)
+def test_uncorrupted_tables_pass_both_checks(text):
+    alg = build_group_algebra(text)
+    assert brute_force_failing_triple(alg) is None
+    _verify_algebra(alg)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(ORACLE_SPECS), st.data())
+def test_generator_proof_catches_what_brute_force_catches(text, data):
+    alg = build_group_algebra(text)
+    p, n = alg.field.p, alg.dim
+    i = data.draw(st.integers(0, n - 1))
+    j = data.draw(st.integers(0, n - 1))
+    k = data.draw(st.integers(0, n - 1))
+    c = data.draw(st.integers(1, p - 1))
+    entry = {} if data.draw(st.booleans()) else dict(alg.mult(i, j))
+    entry[k] = (entry.get(k, 0) + c) % p
+    alg._table[(i, j)] = {t: v for t, v in entry.items() if v}
+    if brute_force_failing_triple(alg) is not None:
+        with pytest.raises(SpecError):
+            _verify_algebra(alg)
+
+
+def test_corruption_above_dim_200_is_caught():
+    alg = build_group_algebra("cyclic(3^5)")
+    assert alg.dim == 243
+    x, x2, x5 = (alg.index[((e,), 0)] for e in (1, 2, 5))
+    alg._table[(x, x)] = {x2: 1, x5: 1}
+    with pytest.raises(SpecError, match="associativity fails"):
+        _verify_algebra(alg)
+
+
+def test_generators_that_do_not_span_are_rejected():
+    alg = build_group_algebra("cyclic(3^1)")
+    x = alg.index[((1,), 0)]
+    alg._table[(x, x)] = {}
+    with pytest.raises(SpecError, match="generators do not span"):
+        _verify_algebra(alg)
+
+
+def test_verify_makes_dim2_times_generators_products(monkeypatch):
+    calls = []
+    real = GradedGroupAlgebra.mult_vec
+
+    def counted(self, u, v):
+        calls.append(1)
+        return real(self, u, v)
+
+    monkeypatch.setattr(GradedGroupAlgebra, "mult_vec", counted)
+    alg = build_group_algebra("cyclic(2^6)")
+    n, s = alg.dim, alg.spec.rank  # S is the one degree-one lift
+    assert 0 < len(calls) <= 2 * n * n * s + n * s
