@@ -17,6 +17,13 @@ and cohomology is reported up to cap - 1.
 Letter weights are plain integers over the common denominator p^top, top
 the largest p-exponent among the letter degrees, so word degrees are sums
 of ints; an InternalDegree is built only for a block key.
+
+The differential runs on packed words: a word of length n is the integer
+whose n fields of dim.bit_length() bits hold its letters, the first letter
+in the highest field.  Letters are basis indices below dim, so each fits
+its field, and for words of one length code order is lex order.  The rank
+elimination keys its rows by codes, so it compares ints, not tuples;
+d_row decodes the packed expansion for callers that work on tuples.
 """
 
 from __future__ import annotations
@@ -65,6 +72,7 @@ class BarComplex:
             total += nletters ** n
             if total > budget:
                 raise BudgetExceededError(n, total, budget)
+        self.bits = algebra.dim.bit_length()
         self._comult = self._build_comult()
         self._blocks: dict[int, dict[InternalDegree, list[tuple]]] = {}
         self._ranks: dict[tuple[int, InternalDegree], int] = {}
@@ -72,13 +80,20 @@ class BarComplex:
         self._indexes: dict[tuple[int, InternalDegree], dict[tuple, int]] = {}
         self._cohomology: Optional[CohomologyData] = None
 
-    def _build_comult(self) -> dict[int, list[tuple[int, int, int]]]:
-        out: dict[int, list] = {u: [] for u in self.letters}
+    def _build_comult(self) -> tuple[dict, dict]:
+        """Packed comultiplication, one table per sign: for each letter u,
+        the pairs (a, b) with c_ab^u != 0 as (code of [a|b], coefficient).
+        The first table holds the negated coefficients, for the positions
+        i = 0, 2, 4, .. (from 0) whose sign (-1)^(i+1) is -1."""
+        p, bits = self.field.p, self.bits
+        plus: dict[int, list[tuple[int, int]]] = {u: [] for u in self.letters}
         for a in self.letters:
             for b in self.letters:
                 for u, c in self.algebra.iota_product(a, b).items():
-                    out[u].append((a, b, c))
-        return out
+                    plus[u].append(((a << bits) | b, c))
+        minus = {u: [(ab, p - c) for ab, c in pairs]
+                 for u, pairs in plus.items()}
+        return minus, plus
 
     def blocks(self, n: int) -> dict[InternalDegree, list[tuple]]:
         """Words of length n grouped by internal degree, lex order inside;
@@ -104,19 +119,51 @@ class BarComplex:
     def word_degree(self, word: tuple) -> InternalDegree:
         return self._degree(self._word_wt(word))
 
-    def d_row(self, word: tuple) -> dict[tuple, int]:
-        """Differential of a dual word, as a dict over target words."""
-        p = self.field.p
-        out: dict[tuple, int] = {}
-        for i, u in enumerate(word):
-            sign = p - 1 if (i + 1) % 2 else 1
-            for a, b, c in self._comult[u]:
-                target = word[:i] + (a, b) + word[i + 1:]
-                val = (out.get(target, 0) + sign * c) % p
+    def _pack(self, word: tuple) -> int:
+        code = 0
+        for u in word:
+            code = (code << self.bits) | u
+        return code
+
+    def _unpack(self, code: int, n: int) -> tuple:
+        bits = self.bits
+        mask = (1 << bits) - 1
+        return tuple((code >> (bits * k)) & mask for k in range(n - 1, -1, -1))
+
+    def _d_packed(self, code: int, n: int) -> dict[int, int]:
+        """Differential of the packed word of length n, as a dict over
+        packed words of length n + 1.  Position i (from 0) carries the
+        sign (-1)^(i+1); the letter there is split into every pair [a|b]
+        of the comultiplication, in table order."""
+        p, bits = self.field.p, self.bits
+        mask = (1 << bits) - 1
+        out: dict[int, int] = {}
+        get = out.get
+        for i in range(n):
+            shift = bits * (n - 1 - i)
+            u = (code >> shift) & mask
+            base = ((code >> (shift + bits)) << (shift + 2 * bits)) \
+                | (code & ((1 << shift) - 1))
+            for ab, c in self._comult[i & 1][u]:
+                target = base | (ab << shift)
+                val = (get(target, 0) + c) % p
                 if val:
                     out[target] = val
                 else:
                     out.pop(target, None)
+        return out
+
+    def d_row(self, word: tuple) -> dict[tuple, int]:
+        """Differential of a dual word, as a dict over target words."""
+        n = len(word)
+        return {self._unpack(t, n + 1): c
+                for t, c in self._d_packed(self._pack(word), n).items()}
+
+    def d_cochain(self, cochain: dict[tuple, int]) -> dict[tuple, int]:
+        """Differential of a cochain given as {word: coeff}."""
+        out: dict[tuple, int] = {}
+        for w, c in cochain.items():
+            vec_add_scaled(out, self.d_row(w), c, self.field.p)
         return out
 
     def rank(self, n: int, s: InternalDegree) -> int:
@@ -124,7 +171,8 @@ class BarComplex:
 
         Source words are fed in reverse lex order: the lead target of a
         split row then tends to be unoccupied on arrival, which keeps the
-        elimination near-triangular.
+        elimination near-triangular.  Rows are keyed by packed target
+        words, whose order is the lex order of the words.
         """
         if n >= self.cap:
             raise ValueError("rank needs the target degree within the cap")
@@ -135,7 +183,7 @@ class BarComplex:
         words = self.blocks(n).get(s, [])
         elim = Eliminator(self.field)
         for word in reversed(words):
-            row = self.d_row(word)
+            row = self._d_packed(self._pack(word), n)
             if row:
                 elim.add_row(row)
         self._ranks[key] = elim.rank
@@ -216,8 +264,10 @@ class BarComplex:
         cached = self._structs.get(key)
         if cached is not None:
             return cached
-        tindex = self.word_index(n + 1, s)
-        images = [{tindex[w]: c for w, c in self.d_row(word).items()}
+        tindex = {self._pack(w): i
+                  for w, i in self.word_index(n + 1, s).items()}
+        images = [{tindex[t]: c
+                   for t, c in self._d_packed(self._pack(word), n).items()}
                   for word in self.blocks(n).get(s, [])]
         pivot_cols, kernels = column_echelon(self.field, images, len(tindex))
         st = BlockStruct(pivot_cols, [images[j] for j in pivot_cols], kernels)
@@ -411,7 +461,7 @@ class Restriction:
 
     For f: A -> B the dual map sends a word over B-letters to words over
     A-letters through the transpose of f on the reduced ideals; it commutes
-    with both differentials, which is verified degree by degree at
+    with both differentials, which is verified on the letters at
     construction.
     """
 
@@ -458,16 +508,26 @@ class Restriction:
         return out
 
     def _check_commutes(self) -> None:
-        for n in range(self.high.cap):
-            for s, words in self.high.blocks(n).items():
-                for w in words:
-                    lhs = self._apply_to_cochain(self.high.d_row(w))
-                    rhs: dict[tuple, int] = {}
-                    for lw, c in self.cochain_image(w).items():
-                        vec_add_scaled(rhs, self.low.d_row(lw), c, self.low.field.p)
-                    if lhs != rhs:
-                        raise AssertionError(
-                            f"restriction does not commute with d on {w}")
+        """Check d_low R = R d_high on the one-letter words; that proves it
+        on every word of every length.
+
+        R is multiplicative for concatenation, R(w1 w2) = R(w1) R(w2), and
+        preserves length.  d is a derivation of concatenation on both
+        sides, d(w1 w2) = d(w1) w2 + (-1)^|w1| w1 d(w2), so D = d_low R and
+        D = R d_high both satisfy
+
+            D(w1 w2) = D(w1) R(w2) + (-1)^|w1| R(w1) D(w2).
+
+        Both vanish on the empty word.  If they agree on every letter, then
+        by induction on length they agree on every word, since each word of
+        length >= 2 is a letter followed by a shorter word.
+        """
+        for u in self.high.letters:
+            w = (u,)
+            lhs = self._apply_to_cochain(self.high.d_row(w))
+            if lhs != self.low.d_cochain(self.cochain_image(w)):
+                raise AssertionError(
+                    f"restriction does not commute with d on {w}")
 
     def on_cohomology(self):
         """BigradedMap from the source cohomology to the target cohomology."""

@@ -2,7 +2,9 @@
 
 Vectors are dicts {index: coeff} with coefficients in 1..p-1 (zeros never
 stored).  All elimination goes through one engine, Eliminator, which works
-on row dicts.  Two helpers build on it: column_echelon gives the pivot
+on row dicts.  Its reduction walks a heap of pivot columns only, so the
+cost of a reduction follows the pivots it clears, not the columns it
+holds.  Two helpers build on it: column_echelon gives the pivot
 columns and free-variable kernel of a matrix from one tagged elimination,
 and rref_rows gives the reduced row echelon basis of a span by
 back-substitution over the eliminator's pivot rows.
@@ -95,33 +97,45 @@ class Eliminator:
         return len(self.pivots)
 
     def reduce(self, v: dict) -> dict:
-        """Canonical remainder of v modulo the current row space.
+        """Canonical remainder of v modulo the current row space, as a new
+        dict; v itself is left alone."""
+        return self._reduce(vec_clean(v, self.field.p))
 
-        Columns are cleared in ascending order; pivot rows only touch
+    def _reduce(self, v: dict) -> dict:
+        """Reduce a clean vector in place and return it.
+
+        Pivot columns are cleared in ascending order; pivot rows only touch
         columns at or past their lead, so fill-in always lands ahead of
-        the cursor and every column is visited once.
+        the cursor and every pivot column is visited once.  The heap holds
+        pivot columns only: the entries of v that carry a pivot, and each
+        fill-in column that carries one and is absent from v when it lands
+        (new, or cancelled earlier).  A column without a pivot is never
+        cleared, so it never needs a visit.  A cancelled column may still
+        sit in the heap; its pop finds no entry and is skipped.
         """
         p = self.field.p
-        v = vec_clean(v, p)
-        heap = list(v.keys())
+        pivots = self.pivots
+        heap = [c for c in v if c in pivots]
         heapq.heapify(heap)
+        pop, push = heapq.heappop, heapq.heappush
         while heap:
-            col = heapq.heappop(heap)
+            col = pop(heap)
             coef = v.get(col)
-            if not coef:
-                continue
-            row = self.pivots.get(col)
-            if row is None:
+            if coef is None:
                 continue
             scale = p - coef
-            for c, pc in row.items():
-                new = (v.get(c, 0) + scale * pc) % p
-                if new:
-                    if c not in v and c > col:
-                        heapq.heappush(heap, c)
-                    v[c] = new
+            for c, pc in pivots[col].items():
+                old = v.get(c)
+                if old is None:
+                    v[c] = scale * pc % p
+                    if c in pivots:
+                        push(heap, c)
                 else:
-                    v.pop(c, None)
+                    new = (old + scale * pc) % p
+                    if new:
+                        v[c] = new
+                    else:
+                        del v[c]
         return v
 
     def add_row(self, v: dict) -> Optional[int]:
@@ -132,10 +146,8 @@ class Eliminator:
         downstream and saves most of the work on near-triangular input.
         """
         rem = vec_clean(v, self.field.p)
-        if rem:
-            lead = min(rem)
-            if lead in self.pivots:
-                rem = self.reduce(rem)
+        if rem and min(rem) in self.pivots:
+            rem = self._reduce(rem)
         if not rem:
             return None
         lead = min(rem)
@@ -173,7 +185,7 @@ def column_echelon(field: PrimeField, columns: Iterable[dict],
         row = {top - i: c % p for i, c in col.items() if c % p}
         row[height + j] = 1
         if min(row) in elim.pivots:
-            row = elim.reduce(row)
+            row = elim._reduce(row)
         if min(row) < height:
             elim.add_row(row)
             pivots.append(j)

@@ -82,8 +82,8 @@ class SDR:
                 for w in words:
                     e = {w: 1}
                     he = self.htp(e)
-                    dhe = _d_cochain(bar, he)
-                    hde = self.htp(_d_cochain(bar, e))
+                    dhe = bar.d_cochain(he)
+                    hde = self.htp(bar.d_cochain(e))
                     lhs = dict(dhe)
                     vec_add_scaled(lhs, hde, 1, p)
                     rhs = {w: 1}
@@ -100,20 +100,13 @@ class SDR:
                     checked += 1
         for label in self.coh.space.labels():
             rep = self.incl(label)
-            if _d_cochain(bar, rep):
+            if bar.d_cochain(rep):
                 raise AssertionError(f"d incl != 0 on {label}")
             if self.htp(rep):
                 raise AssertionError(f"h incl != 0 on {label}")
             if self.proj(rep) != {label: 1}:
                 raise AssertionError(f"proj incl != id on {label}")
         return checked
-
-
-def _d_cochain(bar: BarComplex, cochain: dict) -> dict:
-    out: dict = {}
-    for w, c in cochain.items():
-        vec_add_scaled(out, bar.d_row(w), c, bar.field.p)
-    return out
 
 
 class AInfinityStructure:

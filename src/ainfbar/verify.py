@@ -72,13 +72,6 @@ def _cup(p: int, a: dict, b: dict) -> dict:
     return out
 
 
-def _d(bar: BarComplex, cochain: dict) -> dict:
-    out: dict = {}
-    for w, c in cochain.items():
-        vec_add_scaled(out, bar.d_row(w), c, bar.field.p)
-    return out
-
-
 def _labels_by_degree(space) -> dict[int, list[str]]:
     out: dict[int, list[str]] = {}
     for label in space.labels():
@@ -170,7 +163,7 @@ def criterion_4(lab: Lab) -> CriterionResult:
     T = {(letters3[0],): 1}
     U = {(letters3[1],): 2}
     massey3 = None
-    if _d(bar3, U) == _cup(3, T, T):
+    if bar3.d_cochain(U) == _cup(3, T, T):
         m = _cup(3, U, T)
         vec_add_scaled(m, _cup(3, T, U), 1, 3)
         massey3 = coh3.reduce_cocycle(m)
@@ -182,10 +175,10 @@ def criterion_4(lab: Lab) -> CriterionResult:
     X, X2, X3 = bar4.algebra.iota_letters()
     T4, U4, V4 = {(X,): 1}, {(X2,): 1}, {(X3,): 1}
     massey4 = None
-    du_ok = _d(bar4, U4) == _cup(2, T4, T4)
+    du_ok = bar4.d_cochain(U4) == _cup(2, T4, T4)
     want_dv = _cup(2, T4, U4)
     vec_add_scaled(want_dv, _cup(2, U4, T4), 1, 2)
-    dv_ok = _d(bar4, V4) == want_dv
+    dv_ok = bar4.d_cochain(V4) == want_dv
     if du_ok and dv_ok:
         m = _cup(2, T4, V4)
         vec_add_scaled(m, _cup(2, U4, U4), 1, 2)

@@ -6,15 +6,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from ainfbar.bar import BudgetExceededError, Restriction, build_bar, restriction
 from ainfbar.grading import InternalDegree, internal_zero
-from ainfbar.groups import build_group_algebra, power_inclusion
-from ainfbar.linalg import Eliminator, vec_add_scaled
-
-
-def d_cochain(bar, cochain):
-    out = {}
-    for w, c in cochain.items():
-        vec_add_scaled(out, bar.d_row(w), c, bar.field.p)
-    return out
+from ainfbar.groups import AlgebraMap, build_group_algebra, power_inclusion
+from ainfbar.linalg import Eliminator, rref_rows, vec_add_scaled
 
 
 @pytest.mark.parametrize("spec,cap", [
@@ -29,7 +22,7 @@ def test_d_squared_is_zero(spec, cap):
     for n in range(cap - 1):
         for words in bar.blocks(n).values():
             for w in words:
-                assert d_cochain(bar, bar.d_row(w)) == {}
+                assert bar.d_cochain(bar.d_row(w)) == {}
 
 
 @pytest.mark.parametrize("spec", ["cyclic(2^2)", "cyclic(3^1)"])
@@ -142,7 +135,7 @@ def test_representatives_are_cocycles_and_independent():
     for label in coh.space.labels():
         rep = coh.representative(label)
         assert rep
-        assert d_cochain(bar, rep) == {}
+        assert bar.d_cochain(rep) == {}
         assert coh.reduce_cocycle(rep) == {label: 1}
 
 
@@ -233,7 +226,7 @@ def test_block_elimination_properties(bar):
             free = [j for j in range(len(words)) if j not in block.pivot_cols]
             assert len(block.kernels) == len(free)
             for j, kernel in zip(free, block.kernels):
-                assert d_cochain(bar, {words[i]: c for i, c in kernel.items()}) == {}
+                assert bar.d_cochain({words[i]: c for i, c in kernel.items()}) == {}
                 assert {i: kernel.get(i, 0) for i in free} == {i: int(i == j) for i in free}
 
 
@@ -308,6 +301,50 @@ def test_word_enumeration_matches_internal_degree_reference(bar):
         assert list(bar.blocks(n).items()) == list(refs[n].items()), n
         for s, words in refs[n].items():
             assert all(bar.word_degree(w) == s for w in words)
+
+
+def reference_comult(bar):
+    comult = {u: [] for u in bar.letters}
+    for a in bar.letters:
+        for b in bar.letters:
+            for u, c in bar.algebra.iota_product(a, b).items():
+                comult[u].append((a, b, c))
+    return comult
+
+
+def reference_d_row(bar, comult, word):
+    """d of a word by the tuple expansion: letter i (from 0) is split into
+    every [a|b] of the comultiplication, with sign (-1)^(i+1)."""
+    p = bar.field.p
+    out = {}
+    for i, u in enumerate(word):
+        sign = p - 1 if (i + 1) % 2 else 1
+        for a, b, c in comult[u]:
+            target = word[:i] + (a, b) + word[i + 1:]
+            val = (out.get(target, 0) + sign * c) % p
+            if val:
+                out[target] = val
+            else:
+                out.pop(target, None)
+    return out
+
+
+@settings(max_examples=30, deadline=None)
+@given(enumeration_bars())
+def test_packed_differential_matches_tuple_expansion(bar):
+    comult = reference_comult(bar)
+    for n in range(min(bar.cap, 3) + 1):
+        for s, words in bar.blocks(n).items():
+            codes = [bar._pack(w) for w in words]
+            assert codes == sorted(set(codes))
+            assert [bar._unpack(c, n) for c in codes] == words
+            rows = [reference_d_row(bar, comult, w) for w in words]
+            for w, row in zip(words, rows):
+                assert list(bar.d_row(w).items()) == list(row.items()), w
+            if n < bar.cap:
+                rank = bar.rank(n, s)
+                assert rank == len(bar.struct(n, s).pivot_cols)
+                assert rank == len(rref_rows(bar.field, rows))
 
 
 def test_budget_guard_names_degree():
@@ -395,3 +432,88 @@ def test_rank_two_restriction_on_kunneth_classes():
         if {k: v for (k, h), v in rmap.entries.items() if h == label}:
             hit += 1
     assert hit >= 2
+
+
+@functools.lru_cache(maxsize=None)
+def restriction_bars(low_spec, high_spec, cap):
+    low = cached_algebra(low_spec)
+    high = cached_algebra(high_spec)
+    return build_bar(high, cap), build_bar(low, cap), power_inclusion(low, high)
+
+
+def commutes_on_every_word(high, low, fmap):
+    """d_low R = R d_high checked word by word below the cap, with R
+    expanded letter by letter from the transpose of fmap."""
+    p = high.field.p
+    tcol = {u: {} for u in high.letters}
+    for lo in low.letters:
+        for hi, c in fmap.columns[lo].items():
+            tcol[hi][lo] = c
+
+    def restrict(cochain):
+        out = {}
+        for w, c in cochain.items():
+            for pairs in itertools.product(*(tcol[u].items() for u in w)):
+                coef = c
+                for _, c2 in pairs:
+                    coef *= c2
+                vec_add_scaled(out, {tuple(lo for lo, _ in pairs): 1}, coef, p)
+        return out
+
+    for n in range(high.cap):
+        for words in high.blocks(n).values():
+            for w in words:
+                if restrict(high.d_row(w)) != low.d_cochain(restrict({w: 1})):
+                    return False
+    return True
+
+
+def test_non_multiplicative_map_is_rejected():
+    high, low, fmap = restriction_bars("cyclic(3^1)", "cyclic(3^2)", 3)
+    columns = {i: dict(col) for i, col in fmap.columns.items()}
+    # X -> X^3 as before, but X^2 -> 0 although X * X = X^2
+    columns[low.letters[1]] = {}
+    bad = AlgebraMap(low.algebra, high.algebra, columns)
+    assert not commutes_on_every_word(high, low, bad)
+    with pytest.raises(AssertionError, match="does not commute"):
+        Restriction(high, low, bad)
+
+
+RESTRICTION_PAIRS = [
+    ("cyclic(2^1)", "cyclic(2^2)"),
+    ("cyclic(3^1)", "cyclic(3^2)"),
+    ("cyclic(5^1)", "cyclic(5^2)"),
+    ("cyclic(2^2)", "cyclic(2^3)"),
+    ("semidirect(cyclic(3^1), inversion)", "semidirect(cyclic(3^2), inversion)"),
+    ("cyclic(2^1) x cyclic(2^1)", "cyclic(2^2) x cyclic(2^2)"),
+]
+
+
+@st.composite
+def corrupted_restrictions(draw):
+    """A power inclusion with one column entry replaced, added or removed,
+    at bar cap 2 or 3."""
+    pair = draw(st.sampled_from(RESTRICTION_PAIRS))
+    high, low, fmap = restriction_bars(*pair, draw(st.integers(2, 3)))
+    p = high.field.p
+    columns = {i: dict(col) for i, col in fmap.columns.items()}
+    col = columns[draw(st.sampled_from(low.letters))]
+    k = draw(st.sampled_from(high.letters))
+    if draw(st.booleans()) and col:
+        del col[draw(st.sampled_from(sorted(col)))]
+    else:
+        col[k] = draw(st.integers(1, p - 1))
+    return high, low, AlgebraMap(low.algebra, high.algebra, columns)
+
+
+@settings(max_examples=60, deadline=None)
+@given(corrupted_restrictions())
+def test_letters_verdict_equals_every_word_verdict(case):
+    high, low, fmap = case
+    try:
+        Restriction(high, low, fmap)
+        accepted = True
+    except AssertionError as err:
+        assert "does not commute" in str(err)
+        accepted = False
+    assert accepted == commutes_on_every_word(high, low, fmap)

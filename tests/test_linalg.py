@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import heapq
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ainfbar import linalg
 from ainfbar.linalg import Eliminator, PrimeField, column_echelon, rref_rows
 
 
@@ -132,3 +135,94 @@ def test_eliminator_canonical_remainder():
     assert set(rem) <= {2}
     assert e.rank == 2
     assert e.add_row({0: 1, 2: 2}) is None  # row0 - row1 = (1,0,-1)
+
+
+def reference_reduce(pivots: dict, v: dict, p: int) -> dict:
+    """Remainder of v by the heap over every column: each column of v and
+    each new fill-in column is pushed, and a column without a pivot is
+    popped and skipped."""
+    v = {i: c % p for i, c in v.items() if c % p}
+    heap = list(v.keys())
+    heapq.heapify(heap)
+    while heap:
+        col = heapq.heappop(heap)
+        coef = v.get(col)
+        if not coef:
+            continue
+        row = pivots.get(col)
+        if row is None:
+            continue
+        scale = p - coef
+        for c, pc in row.items():
+            new = (v.get(c, 0) + scale * pc) % p
+            if new:
+                if c not in v and c > col:
+                    heapq.heappush(heap, c)
+                v[c] = new
+            else:
+                v.pop(c, None)
+    return v
+
+
+def reference_add_row(pivots: dict, v: dict, field: PrimeField):
+    p = field.p
+    rem = {i: c % p for i, c in v.items() if c % p}
+    if rem and min(rem) in pivots:
+        rem = reference_reduce(pivots, rem, p)
+    if not rem:
+        return None
+    lead = min(rem)
+    inv = field.inv(rem[lead])
+    pivots[lead] = {i: c * inv % p for i, c in rem.items()}
+    return lead
+
+
+@st.composite
+def eliminator_scripts(draw):
+    """Interleaved add_row / reduce calls on rows over 10 columns, with
+    negative entries and entries that vanish mod p."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    rows = st.dictionaries(st.integers(0, 9), st.integers(-2 * p, 2 * p),
+                           max_size=6)
+    ops = draw(st.lists(st.tuples(st.booleans(), rows), max_size=24))
+    return PrimeField(p), ops
+
+
+@settings(max_examples=200, deadline=None)
+@given(eliminator_scripts())
+def test_reduce_matches_the_heap_over_all_columns(script):
+    f, ops = script
+    elim = Eliminator(f)
+    ref: dict = {}
+    for add, row in ops:
+        before = dict(row)
+        if add:
+            assert elim.add_row(row) == reference_add_row(ref, row, f)
+            assert [(c, list(r.items())) for c, r in elim.pivots.items()] \
+                == [(c, list(r.items())) for c, r in ref.items()]
+        else:
+            assert list(elim.reduce(row).items()) \
+                == list(reference_reduce(ref, row, f.p).items())
+        assert row == before
+
+
+def test_reduce_pushes_only_pivot_columns(monkeypatch):
+    f = PrimeField(5)
+    e = Eliminator(f)
+    # pivots at 0, 1, 3, 5; the first row also fills column 2, which has none
+    for row in ({0: 1, 1: 2, 2: 1, 3: 1, 5: 4}, {1: 1, 2: 3, 4: 1},
+                {3: 1, 4: 2, 6: 1}, {5: 1, 7: 1}):
+        e.add_row(row)
+    pushed = []
+    push = heapq.heappush
+
+    def spy(heap, item):
+        pushed.append(item)
+        push(heap, item)
+
+    monkeypatch.setattr(linalg.heapq, "heappush", spy)
+    rem = e.reduce({0: 1})
+    assert pushed
+    assert all(c in e.pivots for c in pushed), pushed
+    assert rem and set(rem).isdisjoint(e.pivots)
+    assert rem == reference_reduce(e.pivots, {0: 1}, 5)
