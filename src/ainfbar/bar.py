@@ -116,9 +116,6 @@ class BarComplex:
     def _degree(self, wt: int) -> InternalDegree:
         return InternalDegree(self.field.p, wt, self.top)
 
-    def word_degree(self, word: tuple) -> InternalDegree:
-        return self._degree(self._word_wt(word))
-
     def _pack(self, word: tuple) -> int:
         code = 0
         for u in word:
@@ -298,65 +295,83 @@ class BlockStruct:
 
 
 class BlockBasis:
-    """One (n, s) block eliminated over the basis B + R + U.
+    """Coordinates on one (n, s) block in the basis B + R + U.
 
     B holds the pivot images d(e_w) of the block below, one per word w of
-    b_words; R the class representatives, each a kernel vector of the block
-    reduced against B and the earlier representatives, tags dropped; U the
-    unit vectors at the block's own pivot columns.  Basis vector k enters
-    the eliminator tagged with a 1 at column dim + k, so a vector reduced
-    to zero leaves minus its coordinates in the tags.  B + R spans the
-    cocycles, so a cochain is a cocycle exactly when its U part is zero.
+    b_words; R the class representatives; U the unit vectors e_j at the
+    block's own pivot columns j (BarComplex.struct).  B + R spans the
+    cocycles Z, so a cochain is a cocycle exactly when its U part is zero.
+
+    Two eliminations over the B + R rows build it, and neither holds a U
+    row.  The first, untagged and in word order, takes the B images and
+    then reduces each kernel vector of the block against B and the earlier
+    representatives; a nonzero remainder is the next representative.  It
+    is dropped when the basis is built.  The second, kept in elim, takes
+    the same rows with word position i stored at column dim - 1 - i, so
+    each row's lead is its largest position, and basis vector k tagged
+    with a 1 at column dim + k.  coords reduces a cochain against it: the
+    tags give minus its B and R coordinates and the data remainder is its
+    U part.
+
+    Why the remainder lies on U.  Let z in Z have largest position j.
+    Since d(z) = 0, d(e_j) lies in the span of d(e_i), i < j, so j is a
+    free column.  The leads of the second elimination are the largest
+    positions of vectors of Z, so they lie in the free columns F; there
+    are dim Z = |F| of them, hence they are exactly F.  A remainder has no
+    entry on a lead, so it lies on the pivot columns P.  No nonzero
+    vector of Z lies on P, since its largest position is free, so
+    v = z + sum over j in P of u_j e_j is the unique decomposition of v
+    over Z + U, and b, r and u are the coordinates in B + R + U.
     """
 
     def __init__(self, bar: BarComplex, n: int, s: InternalDegree):
         self.index = bar.word_index(n, s)
         self.dim = len(self.index)
-        self.elim = Eliminator(bar.field)
         self.b_words: list[tuple] = []
+        images: list[dict] = []
         if n > 0:
             below = bar.struct(n - 1, s)
             words = bar.blocks(n - 1).get(s, [])
             self.b_words = [words[j] for j in below.pivot_cols]
-            for image in below.images:
-                self._add(image)
+            images = below.images
+        span = Eliminator(bar.field)
+        for image in images:
+            span.add_row(image)
         self.reps: list[dict] = []
         here = bar.struct(n, s)
         for kernel in here.kernels:
-            rep = {i: c for i, c in self.elim.reduce(kernel).items()
-                   if i < self.dim}
+            rep = span.reduce(kernel)
             if rep:
                 self.reps.append(rep)
-                self._add(rep)
-        for j in here.pivot_cols:
-            self._add({j: 1})
-        if self.elim.rank != self.dim:
+                span.add_row(rep)
+        self.elim = Eliminator(bar.field)
+        top = self.dim - 1
+        for k, vec in enumerate(itertools.chain(images, self.reps)):
+            row = {top - i: c for i, c in vec.items()}
+            row[self.dim + k] = 1
+            lead = self.elim.add_row(row)
+            if lead is None or lead >= self.dim:
+                raise AssertionError("block basis is singular")
+        if self.elim.rank + len(here.pivot_cols) != self.dim:
             raise AssertionError(f"block ({n}, {s}): basis does not span")
 
-    def _add(self, vec: dict) -> None:
-        row = dict(vec)
-        row[self.dim + self.elim.rank] = 1
-        lead = self.elim.add_row(row)
-        if lead is None or lead >= self.dim:
-            raise AssertionError("block basis is singular")
-
     def coords(self, cochain: dict[tuple, int]) -> tuple[dict, dict, dict]:
-        """Coordinates of a cochain of this block on B, R and U, each part
-        indexed from 0."""
+        """Coordinates of a cochain of this block: b on B and r on R,
+        indexed from 0, and u on U, keyed by word position j."""
         p = self.elim.field.p
-        nb, nr = len(self.b_words), len(self.reps)
+        dim, nb = self.dim, len(self.b_words)
+        top = dim - 1
         b: dict[int, int] = {}
         r: dict[int, int] = {}
         u: dict[int, int] = {}
-        vec = {self.index[w]: c for w, c in cochain.items()}
+        vec = {top - self.index[w]: c for w, c in cochain.items()}
         for i, c in self.elim.reduce(vec).items():
-            k = i - self.dim
-            if k < nb:
-                b[k] = p - c
-            elif k < nb + nr:
-                r[k - nb] = p - c
+            if i < dim:
+                u[top - i] = c
+            elif i - dim < nb:
+                b[i - dim] = p - c
             else:
-                u[k - nb - nr] = p - c
+                r[i - dim - nb] = p - c
         return b, r, u
 
 
@@ -385,12 +400,6 @@ class CohomologyData:
         self.space = BigradedSpace(bar.field, basis)
         self._reps: dict[str, dict[tuple, int]] = {}
         self._bases: dict[tuple[int, InternalDegree], BlockBasis] = {}
-
-    def dims_by_degree(self) -> dict[int, int]:
-        out: dict[int, int] = {n: 0 for n in range(self.bar.cap)}
-        for _, n, _ in self.space.basis:
-            out[n] += 1
-        return out
 
     def block_basis(self, n: int, s: InternalDegree) -> BlockBasis:
         key = (n, s)

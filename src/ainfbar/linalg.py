@@ -144,15 +144,25 @@ class Eliminator:
         A row whose lead column is unoccupied is stored as-is: pivot rows
         are never inter-reduced, so skipping the reduction changes nothing
         downstream and saves most of the work on near-triangular input.
+        Such a row is normalized in its fresh cleaned copy; a reduced row
+        is normalized into a new dict, which also compacts it after the
+        deletions of the reduction.
         """
-        rem = vec_clean(v, self.field.p)
-        if rem and min(rem) in self.pivots:
+        p = self.field.p
+        rem = vec_clean(v, p)
+        reduced = bool(rem) and min(rem) in self.pivots
+        if reduced:
             rem = self._reduce(rem)
         if not rem:
             return None
         lead = min(rem)
         inv = self.field.inv(rem[lead])
-        self.pivots[lead] = vec_scale(rem, inv, self.field.p)
+        if reduced:
+            rem = vec_scale(rem, inv, p)
+        elif inv != 1:
+            for i in rem:
+                rem[i] = rem[i] * inv % p
+        self.pivots[lead] = rem
         return lead
 
 

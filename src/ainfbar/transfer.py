@@ -2,12 +2,16 @@
 
 Every internal block C^{n,s} splits as B + R + U: B is spanned by the
 images d(e_j) of the pivot source words one degree down, R by the chosen
-class representatives, U by the pivot coordinate words of the block's own
-differential.  Coordinates in that basis come from one tagged elimination
-per block (bar.BlockBasis): the R part is the projection, the B part,
-read on the source words e_j, is the contracting homotopy, and the
-representatives are the inclusion of a strong deformation retraction,
-with all five side identities holding exactly.
+class representatives, U by the unit vectors at the pivot columns of the
+block's own differential; B + R spans the cocycles.  bar.BlockBasis
+eliminates only the B + R rows: once in word order, which picks the
+representatives, and once with tags in reverse word order, where what is
+left of a reduced cochain is exactly its U part (its docstring has the
+proof).  The R part is the projection, the B part, read on the source
+words e_j, is the contracting homotopy, and the representatives are the
+inclusion of a strong deformation retraction, with all five side
+identities holding exactly.  SDR.split reads both parts from one
+reduction, so the engine decomposes each lam once.
 
 The higher operations follow the split recursion
 
@@ -54,20 +58,23 @@ class SDR:
     def incl(self, label: str) -> dict[tuple, int]:
         return dict(self.coh.representative(label))
 
-    def proj(self, cochain: dict[tuple, int]) -> dict[str, int]:
+    def split(self, cochain: dict[tuple, int]) -> tuple[dict[tuple, int],
+                                                        dict[str, int]]:
+        """(htp, proj) of a cochain, from one coordinate solve."""
         if not cochain:
-            return {}
+            return {}, {}
         n, s = self.bar.cochain_block(cochain)
-        _, r, _ = self.coh.block_basis(n, s).coords(cochain)
+        basis = self.coh.block_basis(n, s)
+        b, r, _ = basis.coords(cochain)
         labels = self.coh.block_labels.get((n, s), [])
-        return {labels[k]: c for k, c in r.items()}
+        return ({basis.b_words[k]: c for k, c in b.items()},
+                {labels[k]: c for k, c in r.items()})
+
+    def proj(self, cochain: dict[tuple, int]) -> dict[str, int]:
+        return self.split(cochain)[1]
 
     def htp(self, cochain: dict[tuple, int]) -> dict[tuple, int]:
-        if not cochain:
-            return {}
-        basis = self.coh.block_basis(*self.bar.cochain_block(cochain))
-        b, _, _ = basis.coords(cochain)
-        return {basis.b_words[k]: c for k, c in b.items()}
+        return self.split(cochain)[0]
 
     def verify_identities(self, up_to: Optional[int] = None) -> int:
         """Exact SDR checks on every block basis vector; returns the number
@@ -81,14 +88,14 @@ class SDR:
             for s, words in bar.blocks(n).items():
                 for w in words:
                     e = {w: 1}
-                    he = self.htp(e)
+                    he, pe = self.split(e)
                     dhe = bar.d_cochain(he)
                     hde = self.htp(bar.d_cochain(e))
                     lhs = dict(dhe)
                     vec_add_scaled(lhs, hde, 1, p)
                     rhs = {w: 1}
                     back = {}
-                    for label, c in self.proj(e).items():
+                    for label, c in pe.items():
                         vec_add_scaled(back, self.incl(label), c, p)
                     vec_add_scaled(rhs, back, p - 1, p)
                     if lhs != rhs:
@@ -165,6 +172,7 @@ class TransferEngine:
         self.sign_rule = sign_rule
         self.coh = sdr.coh
         self._hl: dict[tuple, dict] = {}
+        self._m: dict[tuple, dict[str, int]] = {}
 
     def _cohdeg(self, label: str) -> int:
         return self.coh.space.degrees(label)[0]
@@ -183,6 +191,7 @@ class TransferEngine:
         return out
 
     def hlam(self, labels: tuple) -> dict:
+        """h lam of a tuple; above arity 1 the same solve also gives m."""
         got = self._hl.get(labels)
         if got is not None:
             return got
@@ -190,7 +199,7 @@ class TransferEngine:
             out = {w: (self.p - c) % self.p
                    for w, c in self.sdr.incl(labels[0]).items()}
         else:
-            out = self.sdr.htp(self.lam(labels))
+            out, self._m[labels] = self.sdr.split(self.lam(labels))
         self._hl[labels] = out
         return out
 
@@ -215,7 +224,10 @@ class TransferEngine:
         return acc
 
     def m(self, labels: tuple) -> dict[str, int]:
-        return self.sdr.proj(self.lam(labels))
+        """m_k on a tuple of k >= 2 labels, read off the solve for h lam."""
+        if labels not in self._m:
+            self.hlam(labels)
+        return self._m[labels]
 
 
 def transfer(source: GradedGroupAlgebra | BarComplex,

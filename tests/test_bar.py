@@ -1,10 +1,13 @@
 import functools
 import itertools
+import random
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from ainfbar.bar import BudgetExceededError, Restriction, build_bar, restriction
+from ainfbar.bar import (
+    BlockBasis, BudgetExceededError, Restriction, build_bar, restriction,
+)
 from ainfbar.grading import InternalDegree, internal_zero
 from ainfbar.groups import AlgebraMap, build_group_algebra, power_inclusion
 from ainfbar.linalg import Eliminator, rref_rows, vec_add_scaled
@@ -119,13 +122,25 @@ def test_rank_two_kunneth_dims():
     assert totals == [1, 2, 3, 4]
 
 
+def dims_by_degree(coh):
+    """Number of classes in each degree below the bar cap."""
+    out = {n: 0 for n in range(coh.bar.cap)}
+    for _, n, _ in coh.space.basis:
+        out[n] += 1
+    return out
+
+
+def word_degree(bar, word):
+    return bar._degree(bar._word_wt(word))
+
+
 def test_unit_class_and_labels():
     alg = build_group_algebra("cyclic(3^1)")
     bar = build_bar(alg, 4)
     coh = bar.cohomology()
     assert coh.space.degrees("h0:0#0") == (0, internal_zero(3))
     assert coh.representative("h0:0#0") == {(): 1}
-    assert coh.dims_by_degree() == {0: 1, 1: 1, 2: 1, 3: 1}
+    assert dims_by_degree(coh) == {0: 1, 1: 1, 2: 1, 3: 1}
 
 
 def test_representatives_are_cocycles_and_independent():
@@ -239,14 +254,89 @@ def test_block_basis_coordinates_rebuild_the_vector(bar):
         for s, words in bar.blocks(n).items():
             basis = coh.block_basis(n, s)
             b_vecs = bar.struct(n - 1, s).images if n > 0 else []
-            u_vecs = [{j: 1} for j in bar.struct(n, s).pivot_cols]
+            pivot_cols = set(bar.struct(n, s).pivot_cols)
             for w in words:
                 b, r, u = basis.coords({w: 1})
-                rebuilt = {}
-                for coords, vecs in ((b, b_vecs), (r, basis.reps), (u, u_vecs)):
+                assert set(u) <= pivot_cols
+                rebuilt = dict(u)
+                for coords, vecs in ((b, b_vecs), (r, basis.reps)):
                     for k, c in coords.items():
                         vec_add_scaled(rebuilt, vecs[k], c, p)
                 assert rebuilt == in_positions(bar, n, s, {w: 1})
+
+
+class ReferenceBlockBasis:
+    """The block basis as one tagged elimination over B, then R, then U,
+    the U rows being the unit vectors at the block's own pivot columns;
+    u is indexed by pivot order."""
+
+    def __init__(self, bar, n, s):
+        self.index = bar.word_index(n, s)
+        self.dim = len(self.index)
+        self.elim = Eliminator(bar.field)
+        self.b_words = []
+        if n > 0:
+            below = bar.struct(n - 1, s)
+            words = bar.blocks(n - 1).get(s, [])
+            self.b_words = [words[j] for j in below.pivot_cols]
+            for image in below.images:
+                self._add(image)
+        self.reps = []
+        here = bar.struct(n, s)
+        for kernel in here.kernels:
+            rep = {i: c for i, c in self.elim.reduce(kernel).items()
+                   if i < self.dim}
+            if rep:
+                self.reps.append(rep)
+                self._add(rep)
+        for j in here.pivot_cols:
+            self._add({j: 1})
+        assert self.elim.rank == self.dim
+
+    def _add(self, vec):
+        row = dict(vec)
+        row[self.dim + self.elim.rank] = 1
+        lead = self.elim.add_row(row)
+        assert lead is not None and lead < self.dim
+
+    def coords(self, cochain):
+        p = self.elim.field.p
+        nb, nr = len(self.b_words), len(self.reps)
+        b, r, u = {}, {}, {}
+        vec = {self.index[w]: c for w, c in cochain.items()}
+        for i, c in self.elim.reduce(vec).items():
+            k = i - self.dim
+            if k < nb:
+                b[k] = p - c
+            elif k < nb + nr:
+                r[k - nb] = p - c
+            else:
+                u[k - nb - nr] = p - c
+        return b, r, u
+
+
+@settings(max_examples=25, deadline=None)
+@given(small_bars(), st.integers(0, 2 ** 32))
+def test_block_basis_matches_the_reference_with_u_rows(bar, seed):
+    rng = random.Random(seed)
+    p = bar.field.p
+    for n in range(bar.cap):
+        for s, words in bar.blocks(n).items():
+            basis = BlockBasis(bar, n, s)
+            ref = ReferenceBlockBasis(bar, n, s)
+            assert basis.b_words == ref.b_words
+            assert basis.reps == ref.reps
+            pivot_cols = bar.struct(n, s).pivot_cols
+            cochains = [{w: 1} for w in words]
+            for _ in range(5):
+                k = rng.randint(1, len(words))
+                cochains.append({w: rng.randrange(1, p)
+                                 for w in rng.sample(words, k)})
+            for cochain in cochains:
+                b, r, u = basis.coords(cochain)
+                rb, rr, ru = ref.coords(cochain)
+                assert (b, r) == (rb, rr)
+                assert u == {pivot_cols[k]: c for k, c in ru.items()}
 
 
 @functools.lru_cache(maxsize=None)
@@ -300,7 +390,7 @@ def test_word_enumeration_matches_internal_degree_reference(bar):
     for n in range(cap + 1):
         assert list(bar.blocks(n).items()) == list(refs[n].items()), n
         for s, words in refs[n].items():
-            assert all(bar.word_degree(w) == s for w in words)
+            assert all(word_degree(bar, w) == s for w in words)
 
 
 def reference_comult(bar):

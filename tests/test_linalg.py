@@ -137,6 +137,20 @@ def test_eliminator_canonical_remainder():
     assert e.add_row({0: 1, 2: 2}) is None  # row0 - row1 = (1,0,-1)
 
 
+def test_add_row_normalizes_without_touching_the_callers_row():
+    e = Eliminator(PrimeField(7))
+    # stored without reduction: lead 3, and 3^-1 = 5 mod 7
+    row = {2: 3, 4: 5, 6: 7}
+    assert e.add_row(row) == 2
+    assert row == {2: 3, 4: 5, 6: 7}
+    assert list(e.pivots[2].items()) == [(2, 1), (4, 4)]
+    # reduced first: {3: 2, 4: 5, 5: 3} remains, then lead 2, 2^-1 = 4
+    row = {2: 6, 3: 2, 4: 1, 5: 3}
+    assert e.add_row(row) == 3
+    assert row == {2: 6, 3: 2, 4: 1, 5: 3}
+    assert list(e.pivots[3].items()) == [(3, 1), (4, 6), (5, 5)]
+
+
 def reference_reduce(pivots: dict, v: dict, p: int) -> dict:
     """Remainder of v by the heap over every column: each column of v and
     each new fill-in column is pushed, and a column without a pivot is

@@ -1,11 +1,16 @@
-import pytest
+import functools
+import itertools
 
-from ainfbar.bar import build_bar
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from ainfbar.bar import BlockBasis, build_bar
 from ainfbar.grading import internal_zero
 from ainfbar.groups import build_group_algebra
 from ainfbar.linalg import vec_add_scaled
 from ainfbar.transfer import (
-    CapOverflowError, SDR, TransferEngine, check_stasheff, sigma, transfer,
+    CapOverflowError, SDR, TransferEngine, _max_intermediate, check_stasheff,
+    sigma, transfer,
 )
 
 
@@ -224,3 +229,60 @@ def test_semidirect_transfer_runs_and_is_stasheff():
     # cohomology is free on one degree 3 and one degree 4 class below 5
     degs = sorted(st.space.degrees(l)[0] for l in st.space.labels())
     assert degs == [0, 3, 4]
+
+
+def test_one_coordinate_solve_per_lambda(monkeypatch):
+    bar = build_bar(build_group_algebra("cyclic(2^2)"), 5)
+    space = bar.cohomology().space
+    labels = space.labels()
+    tuples = [tup for k in (3, 2, 4) for tup in itertools.product(labels, repeat=k)
+              if _max_intermediate([space.degrees(l)[0] for l in tup]) <= 4]
+    solves = []
+    coords = BlockBasis.coords
+    monkeypatch.setattr(BlockBasis, "coords",
+                        lambda self, v: solves.append(dict(v)) or coords(self, v))
+    lams = []
+    lam = TransferEngine.lam
+    monkeypatch.setattr(TransferEngine, "lam",
+                        lambda self, tup: lams.append(tup) or lam(self, tup))
+    engine = TransferEngine(SDR(bar), 4)
+    got = {tup: engine.m(tup) for tup in tuples + tuples[::-1]}
+    assert len(lams) == len(set(lams))
+    assert set(tuples) <= set(lams)
+    assert len(solves) == sum(1 for tup in lams if lam(engine, tup))
+    assert any(len(tup) == 4 and out for tup, out in got.items())
+    monkeypatch.undo()
+    sdr = SDR(bar)
+    for tup in lams:
+        cochain = engine.lam(tup)
+        assert engine.m(tup) == sdr.proj(cochain)
+        assert engine.hlam(tup) == sdr.htp(cochain)
+
+
+@functools.lru_cache(maxsize=None)
+def cached_algebra(spec):
+    return build_group_algebra(spec)
+
+
+@st.composite
+def small_transfer_bars(draw):
+    """Bar complexes of cyclic groups of order p^depth, p <= 5 and
+    depth <= 2, with and without the inversion, capped at 3, or higher up
+    to 5 while the top length stays within 5000 words."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    spec = f"cyclic({p}^{draw(st.integers(1, 2))})"
+    if p > 2 and draw(st.booleans()):
+        spec = f"semidirect({spec}, inversion)"
+    alg = cached_algebra(spec)
+    top = max(c for c in range(3, 6) if (alg.dim - 1) ** c <= 5000 or c == 3)
+    return build_bar(alg, draw(st.integers(3, top)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(small_transfer_bars())
+def test_sdr_identities_and_stasheff_on_small_specs(bar):
+    assert SDR(bar).verify_identities() > 0
+    ops = transfer(bar, arity_cap=3, degree_cap=bar.cap - 1)
+    checked, failures = check_stasheff(ops, max_n=4)
+    assert checked > 0
+    assert failures == []
