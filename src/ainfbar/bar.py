@@ -50,6 +50,20 @@ class BudgetExceededError(RuntimeError):
             f"{needed} words needed, budget {budget}")
 
 
+def concat(a: dict[tuple, int], b: dict[tuple, int], p: int) -> dict[tuple, int]:
+    """Concatenation product of two cochains given as {word: coeff}."""
+    out: dict = {}
+    for w1, c1 in a.items():
+        for w2, c2 in b.items():
+            w = w1 + w2
+            val = (out.get(w, 0) + c1 * c2) % p
+            if val:
+                out[w] = val
+            else:
+                out.pop(w, None)
+    return out
+
+
 class BarComplex:
     """Reduced bar cochains of a graded group algebra up to a degree cap."""
 
@@ -438,25 +452,13 @@ class CohomologyData:
 
     def cup(self, label1: str, label2: str) -> dict[str, int]:
         """Cup product of two classes via concatenation of representatives."""
-        p = self.bar.field.p
         r1 = self.representative(label1)
         r2 = self.representative(label2)
         n1, _, _ = self.block_of[label1]
         n2, _, _ = self.block_of[label2]
         if n1 + n2 > self.bar.cap - 1:
             raise ValueError("cup product lands beyond the reported range")
-        prod: dict[tuple, int] = {}
-        for w1, c1 in r1.items():
-            for w2, c2 in r2.items():
-                w = w1 + w2
-                val = (prod.get(w, 0) + c1 * c2) % p
-                if val:
-                    prod[w] = val
-                else:
-                    prod.pop(w, None)
-        if not prod:
-            return {}
-        return self.reduce_cocycle(prod)
+        return self.reduce_cocycle(concat(r1, r2, self.bar.field.p))
 
 
 def build_bar(algebra: GradedGroupAlgebra, cap: int,

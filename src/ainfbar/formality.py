@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
-from .bar import build_bar
+from .bar import DEFAULT_WORD_BUDGET, build_bar
 from .grading import (
     BigradedSpace, InternalDegree, doubling_check, internal_zero,
 )
@@ -55,7 +55,7 @@ class TorusModel:
 
     def _dual_matrix(self, w: int):
         # contravariant action on generators: transpose of the w^{-1} matrix
-        a_inv = self.weyl.matrix(self.weyl.inverse[w])
+        a_inv = self.weyl.matrix(self.weyl.inverse(w))
         r = self.rank
         return tuple(tuple(a_inv[i][k] % self.p for i in range(r))
                      for k in range(r))
@@ -265,7 +265,7 @@ class ComparisonReport:
 
 
 def compare_finite_vs_invariants(spec: Union[GroupSpec, str], max_degree: int,
-                                 budget: Optional[int] = None) -> ComparisonReport:
+                                 budget: int = DEFAULT_WORD_BUDGET) -> ComparisonReport:
     """Bar cohomology of the full group against torus invariants, degreewise.
 
     The left side eliminates the reduced bar complex of F_p[T x| W]; the
@@ -277,8 +277,7 @@ def compare_finite_vs_invariants(spec: Union[GroupSpec, str], max_degree: int,
     if spec.colimit:
         raise SpecError("comparison needs a finite-level spec")
     alg = build_group_algebra(spec)
-    bar = (build_bar(alg, max_degree + 1, budget) if budget is not None
-           else build_bar(alg, max_degree + 1))
+    bar = build_bar(alg, max_degree + 1, budget)
     bar_dims = [sum(bar.dims(n).values()) for n in range(max_degree + 1)]
     report = invariant_dims(TorusModel(spec, max_degree))
     mism = [(d, bar_dims[d], report.dims[d])

@@ -7,9 +7,9 @@ are permitted only so that map shifts can be signed.
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable
+from typing import Iterable
 
-from .linalg import PrimeField, vec_add_scaled
+from .linalg import PrimeField
 
 
 class InternalDegree:
@@ -58,14 +58,8 @@ class InternalDegree:
         return (self.num * self.p ** (e - self.pexp)
                 < other.num * self.p ** (e - other.pexp))
 
-    def __le__(self, other: "InternalDegree") -> bool:
-        return self == other or self < other
-
     def __hash__(self) -> int:
         return hash((self.p, self.num, self.pexp))
-
-    def is_zero(self) -> bool:
-        return self.num == 0
 
     def as_pair(self) -> list[int]:
         """Serialized form [num, pexp]."""
@@ -87,19 +81,19 @@ def internal_zero(p: int) -> InternalDegree:
 class BigradedSpace:
     """Finite-dimensional F_p vector space with a bigraded ordered basis.
 
-    Basis elements are (label, cohdeg, intdeg) with hashable labels, kept
+    Basis elements are (label, cohdeg, intdeg) with str labels, kept
     sorted by (cohdeg, intdeg, label); labels must be unique.
     """
 
     def __init__(self, field: PrimeField,
-                 basis: Iterable[tuple[Hashable, int, InternalDegree]]):
+                 basis: Iterable[tuple[str, int, InternalDegree]]):
         items = list(basis)
         for label, coh, internal in items:
             if internal.p != field.p:
                 raise ValueError("internal degree prime differs from field")
             if internal.num < 0:
                 raise ValueError(f"negative internal degree on basis element {label!r}")
-        items.sort(key=lambda t: (t[1], _DegKey(t[2]), _LabelKey(t[0])))
+        items.sort(key=lambda t: (t[1], t[2], t[0]))
         labels = [t[0] for t in items]
         if len(set(labels)) != len(labels):
             raise ValueError("duplicate basis labels")
@@ -111,7 +105,7 @@ class BigradedSpace:
     def dim(self) -> int:
         return len(self.basis)
 
-    def degrees(self, label: Hashable) -> tuple[int, InternalDegree]:
+    def degrees(self, label: str) -> tuple[int, InternalDegree]:
         _, coh, internal = self.basis[self.index[label]]
         return coh, internal
 
@@ -124,50 +118,8 @@ class BigradedSpace:
             out[coh] = out.get(coh, 0) + 1
         return out
 
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, BigradedSpace) and self.field == other.field
-                and self.basis == other.basis)
-
     def __repr__(self) -> str:
         return f"BigradedSpace(p={self.field.p}, dim={self.dim})"
-
-
-class _DegKey:
-    __slots__ = ("deg",)
-
-    def __init__(self, deg: InternalDegree):
-        self.deg = deg
-
-    def __lt__(self, other: "_DegKey") -> bool:
-        return self.deg < other.deg
-
-    def __eq__(self, other) -> bool:
-        return self.deg == other.deg
-
-
-class _LabelKey:
-    """Total order on mixed hashable labels: by type name, then value."""
-
-    __slots__ = ("label",)
-
-    def __init__(self, label):
-        self.label = label
-
-    def _rank(self):
-        lab = self.label
-        if isinstance(lab, tuple):
-            return (1, tuple(_LabelKey(x)._rank() for x in lab))
-        if isinstance(lab, str):
-            return (0, lab)
-        if isinstance(lab, int):
-            return (0, str(lab))
-        return (2, repr(lab))
-
-    def __lt__(self, other: "_LabelKey") -> bool:
-        return self._rank() < other._rank()
-
-    def __eq__(self, other) -> bool:
-        return self._rank() == other._rank()
 
 
 class BigradedMap:
@@ -200,29 +152,6 @@ class BigradedMap:
         self.coh_shift = coh_shift
         self.int_shift = int_shift
         self.entries = clean
-
-    def apply(self, v: dict) -> dict:
-        """Apply to {source_label: coeff}."""
-        p = self.source.field.p
-        cols: dict = {}
-        for (tl, sl), coeff in self.entries.items():
-            cols.setdefault(sl, {})[tl] = coeff
-        out: dict = {}
-        for sl, c in v.items():
-            col = cols.get(sl)
-            if col:
-                vec_add_scaled(out, col, c, p)
-        return out
-
-    def is_zero(self) -> bool:
-        return not self.entries
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, BigradedMap)
-                and self.source == other.source and self.target == other.target
-                and self.coh_shift == other.coh_shift
-                and self.int_shift == other.int_shift
-                and self.entries == other.entries)
 
     def __repr__(self) -> str:
         return (f"BigradedMap(shift=({self.coh_shift}, {self.int_shift}), "

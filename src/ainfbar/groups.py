@@ -280,13 +280,7 @@ def validate_spec(spec: GroupSpec) -> None:
             raise SpecError(f"|W| = {w.k} must be coprime to p = {spec.p}")
         if w.matrix is None or len(w.matrix) != r or any(len(row) != r for row in w.matrix):
             raise SpecError(f"action matrix must be {r}x{r}")
-        mods = _row_mods(spec)
-        acc = _reduce_matrix(_identity_matrix(r), mods)
-        gen = _reduce_matrix(w.matrix, mods)
-        for _ in range(w.k):
-            acc = _mat_mul(acc, gen, mods)
-        if acc != _reduce_matrix(_identity_matrix(r), mods):
-            raise SpecError(f"action matrix must have order dividing {w.k} at these depths")
+        realize_weyl(spec)
     else:
         raise SpecError(f"unknown weyl kind {w.kind!r}")
     if not spec.colimit and spec.weyl is not None and spec.uniform_depth is None:
@@ -332,33 +326,26 @@ def _is_minus_identity(matrix, spec: GroupSpec) -> bool:
 # -- Weyl group realization ---------------------------------------------------
 
 class WeylGroup:
-    """A finite group acting on the torus by integer matrices.
+    """The cyclic group Z/k acting on the torus through one generator matrix.
 
-    Matrices are stored rowwise-reduced: entry (i, j) lives mod the order
-    p^{n_i} of the i-th coordinate (mod p at infinite depth).  Element 0 is
-    always the identity.
+    Element i is the i-th power of the generator, so element 0 is the
+    identity and products and inverses are sums mod k.  Matrices are
+    stored rowwise-reduced: entry (i, j) lives mod the order p^{n_i} of the
+    i-th coordinate (mod p at infinite depth).
     """
 
-    def __init__(self, matrices: list[tuple[tuple[int, ...], ...]],
-                 table: list[list[int]], labels: list[str]):
+    def __init__(self, matrices: list[tuple[tuple[int, ...], ...]]):
         self.matrices = matrices
-        self.table = table
-        self.labels = labels
-        inv = [None] * len(matrices)
-        for i in range(len(matrices)):
-            for j in range(len(matrices)):
-                if table[i][j] == 0:
-                    inv[i] = j
-        if any(v is None for v in inv):
-            raise SpecError("action matrices do not form a group (missing inverses)")
-        self.inverse = inv
 
     @property
     def size(self) -> int:
         return len(self.matrices)
 
     def mult(self, i: int, j: int) -> int:
-        return self.table[i][j]
+        return (i + j) % self.size
+
+    def inverse(self, i: int) -> int:
+        return -i % self.size
 
     def matrix(self, i: int):
         return self.matrices[i]
@@ -394,7 +381,7 @@ def realize_weyl(spec: GroupSpec) -> WeylGroup:
     ident = _reduce_matrix(_identity_matrix(r), mods)
     w = spec.weyl
     if w is None:
-        return WeylGroup([ident], [[0]], ["w0"])
+        return WeylGroup([ident])
     if w.kind == "inversion":
         gen = _reduce_matrix(tuple(tuple(-1 if i == j else 0 for j in range(r))
                                    for i in range(r)), mods)
@@ -407,8 +394,7 @@ def realize_weyl(spec: GroupSpec) -> WeylGroup:
         powers.append(_mat_mul(powers[-1], gen, mods))
     if _mat_mul(powers[-1], gen, mods) != ident:
         raise SpecError(f"action matrix does not have order dividing {k} at these depths")
-    table = [[(i + j) % k for j in range(k)] for i in range(k)]
-    return WeylGroup(powers, table, [f"w{i}" for i in range(k)])
+    return WeylGroup(powers)
 
 
 # -- truncated polynomial helpers ----------------------------------------------
@@ -499,21 +485,11 @@ class SplittingChoice:
     """
 
     def __init__(self, p: int, rank: int, depth: int,
-                 lifts: dict[int, list[dict]], weyl_text: Optional[str]):
+                 lifts: dict[int, list[dict]]):
         self.p = p
         self.rank = rank
         self.depth = depth
         self.lifts = lifts
-        self.weyl_text = weyl_text
-
-    def lift(self, level: int, i: int) -> dict:
-        return dict(self.lifts[level][i])
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, SplittingChoice)
-                and (self.p, self.rank, self.depth, self.weyl_text)
-                == (other.p, other.rank, other.depth, other.weyl_text)
-                and self.lifts == other.lifts)
 
 
 def equivariant_splitting(spec: GroupSpec) -> SplittingChoice:
@@ -540,8 +516,7 @@ def equivariant_splitting(spec: GroupSpec) -> SplittingChoice:
         e_i = tuple(1 if t == i else 0 for t in range(r))
         acc: dict = {}
         for w in range(weyl.size):
-            winv = weyl.inverse[w]
-            moved = images[winv][i]  # rho(w^-1)(Y_i)
+            moved = images[weyl.inverse(w)][i]  # rho(w^-1)(Y_i)
             linear = {e: c for e, c in moved.items() if sum(e) == 1}
             vec_add_scaled(acc, _apply_conj_linear(images[w], linear, p), 1, p)
         top.append({e: (c * inv_order) % p for e, c in acc.items()})
@@ -551,8 +526,7 @@ def equivariant_splitting(spec: GroupSpec) -> SplittingChoice:
         bound = p ** level
         lifts[level] = [{e: c for e, c in v.items() if all(x < bound for x in e)}
                         for v in lifts[level + 1]]
-    return SplittingChoice(p, r, n, lifts,
-                           None if spec.weyl is None else canonical_spec(spec))
+    return SplittingChoice(p, r, n, lifts)
 
 
 def _check_lifts(top: list[dict], images, weyl: WeylGroup, spec: GroupSpec) -> None:
@@ -593,12 +567,10 @@ class GradedGroupAlgebra:
     degree sum(a_i / p^{n_i}); elements of W sit in degree zero.
     """
 
-    def __init__(self, spec: GroupSpec, weyl: WeylGroup,
-                 splitting: Optional[SplittingChoice]):
+    def __init__(self, spec: GroupSpec, weyl: WeylGroup):
         self.spec = spec
         self.field = PrimeField(spec.p)
         self.weyl = weyl
-        self.splitting = splitting
         p = spec.p
         caps = tuple(p ** d for d in spec.depths)
         self.caps = caps
@@ -629,7 +601,7 @@ class GradedGroupAlgebra:
             elif e > 1:
                 parts.append(f"X{i+1}^{e}")
         if w != 0:
-            parts.append(self.weyl.labels[w])
+            parts.append(f"w{w}")
         return "*".join(parts) if parts else "1"
 
     def degree(self, i: int) -> InternalDegree:
@@ -644,16 +616,9 @@ class GradedGroupAlgebra:
         p = self.spec.p
         r = self.spec.rank
         a = self.weyl.matrix(w)
-        acc = {tuple([0] * r): 1}
-        for j, e in enumerate(b):
-            if not e:
-                continue
-            linear = {}
-            for k in range(r):
-                c = a[k][j] % p
-                if c:
-                    linear[tuple(1 if t == k else 0 for t in range(r))] = c
-            acc = poly_mul(acc, poly_pow(linear, e, self.caps, p), self.caps, p)
+        linear = [{tuple(int(t == k) for t in range(r)): a[k][j] % p
+                   for k in range(r) if a[k][j] % p} for j in range(r)]
+        acc = _conj_monomial(linear, b, self.caps, p)
         self._conj_pow[key] = acc
         return acc
 
@@ -739,8 +704,9 @@ def build_group_algebra(spec: GroupSpec | str) -> GradedGroupAlgebra:
     if spec.colimit or any(d is None for d in spec.depths):
         raise SpecError("cannot build a finite algebra from a colimit spec")
     weyl = realize_weyl(spec)
-    splitting = equivariant_splitting(spec) if weyl.size > 1 else None
-    alg = GradedGroupAlgebra(spec, weyl, splitting)
+    if weyl.size > 1:
+        equivariant_splitting(spec)
+    alg = GradedGroupAlgebra(spec, weyl)
     _verify_algebra(alg)
     return alg
 

@@ -28,15 +28,11 @@ inputs.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Optional
+from typing import Optional
 
-from .bar import BarComplex, build_bar
+from .bar import BarComplex, concat
 from .grading import BigradedSpace, internal_zero
-from .groups import GradedGroupAlgebra
 from .linalg import vec_add_scaled
-
-DEFAULT_ARITY_CAP = 4
-DEFAULT_DEGREE_CAP = 8
 
 
 def sigma(s: int, t: int) -> int:
@@ -76,15 +72,14 @@ class SDR:
     def htp(self, cochain: dict[tuple, int]) -> dict[tuple, int]:
         return self.split(cochain)[0]
 
-    def verify_identities(self, up_to: Optional[int] = None) -> int:
+    def verify_identities(self) -> int:
         """Exact SDR checks on every block basis vector; returns the number
         of vectors checked.  Covers degrees up to cap - 2 so that the
         homotopy one degree up is always available."""
         bar = self.bar
         p = bar.field.p
-        top = bar.cap - 2 if up_to is None else min(up_to, bar.cap - 2)
         checked = 0
-        for n in range(top + 1):
+        for n in range(bar.cap - 1):
             for s, words in bar.blocks(n).items():
                 for w in words:
                     e = {w: 1}
@@ -163,32 +158,17 @@ def _max_intermediate(degs: list[int]) -> int:
 class TransferEngine:
     """Split recursion over an SDR, memoized on label tuples."""
 
-    def __init__(self, sdr: SDR, degree_cap: int,
-                 sign_rule: Callable[[int, int], int] = sigma):
+    def __init__(self, sdr: SDR, degree_cap: int):
         self.sdr = sdr
         self.bar = sdr.bar
         self.p = sdr.bar.field.p
         self.degree_cap = degree_cap
-        self.sign_rule = sign_rule
         self.coh = sdr.coh
         self._hl: dict[tuple, dict] = {}
         self._m: dict[tuple, dict[str, int]] = {}
 
     def _cohdeg(self, label: str) -> int:
         return self.coh.space.degrees(label)[0]
-
-    def _mu(self, a: dict, b: dict) -> dict:
-        p = self.p
-        out: dict = {}
-        for w1, c1 in a.items():
-            for w2, c2 in b.items():
-                w = w1 + w2
-                val = (out.get(w, 0) + c1 * c2) % p
-                if val:
-                    out[w] = val
-                else:
-                    out.pop(w, None)
-        return out
 
     def hlam(self, labels: tuple) -> dict:
         """h lam of a tuple; above arity 1 the same solve also gives m."""
@@ -217,10 +197,9 @@ class TransferEngine:
                 continue
             t = n - cut
             d_left = sum(self._cohdeg(l) for l in left)
-            exp = self.sign_rule(cut, t) + (t + 1) * d_left
+            exp = sigma(cut, t) + (t + 1) * d_left
             coeff = 1 if exp % 2 == 0 else p - 1
-            prod = self._mu(hl, hr)
-            vec_add_scaled(acc, prod, coeff, p)
+            vec_add_scaled(acc, concat(hl, hr, p), coeff, p)
         return acc
 
     def m(self, labels: tuple) -> dict[str, int]:
@@ -230,20 +209,13 @@ class TransferEngine:
         return self._m[labels]
 
 
-def transfer(source: GradedGroupAlgebra | BarComplex,
-             arity_cap: int = DEFAULT_ARITY_CAP,
-             degree_cap: int = DEFAULT_DEGREE_CAP,
-             sign_rule: Callable[[int, int], int] = sigma) -> AInfinityStructure:
+def transfer(bar: BarComplex, arity_cap: int, degree_cap: int) -> AInfinityStructure:
     """Transfer the bar product to minimal operations m_2 .. m_arity_cap.
 
     Operations are tabulated on every tuple of class labels whose transfer
     intermediates all stay within degree_cap.  The bar complex must reach
     one degree past the cap, otherwise CapOverflowError.
     """
-    if isinstance(source, BarComplex):
-        bar = source
-    else:
-        bar = build_bar(source, degree_cap + 1)
     if degree_cap > bar.cap - 1:
         raise CapOverflowError(
             f"degree cap {degree_cap} needs bar words up to length "
@@ -251,7 +223,7 @@ def transfer(source: GradedGroupAlgebra | BarComplex,
     if arity_cap < 2:
         raise ValueError("arity cap must be at least 2")
     sdr = SDR(bar)
-    engine = TransferEngine(sdr, degree_cap, sign_rule)
+    engine = TransferEngine(sdr, degree_cap)
     coh = bar.cohomology()
     labels = [l for l in coh.space.labels()
               if coh.space.degrees(l)[0] <= degree_cap]

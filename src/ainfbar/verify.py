@@ -14,7 +14,7 @@ import tempfile
 import time
 from dataclasses import dataclass, field
 
-from .bar import BarComplex, build_bar, restriction
+from .bar import BarComplex, build_bar, concat, restriction
 from .formality import (
     CERTIFIED, NOT_APPLICABLE, TorusModel, certificate_for_spec,
     compare_finite_vs_invariants, invariant_dims,
@@ -62,14 +62,6 @@ class Lab:
             self._transfers[key] = transfer(self.bar(spec, degree + 1),
                                             arity_cap=arity, degree_cap=degree)
         return self._transfers[key]
-
-
-def _cup(p: int, a: dict, b: dict) -> dict:
-    out: dict = {}
-    for w1, c1 in a.items():
-        for w2, c2 in b.items():
-            vec_add_scaled(out, {w1 + w2: 1}, c1 * c2, p)
-    return out
 
 
 def _labels_by_degree(space) -> dict[int, list[str]]:
@@ -163,9 +155,9 @@ def criterion_4(lab: Lab) -> CriterionResult:
     T = {(letters3[0],): 1}
     U = {(letters3[1],): 2}
     massey3 = None
-    if bar3.d_cochain(U) == _cup(3, T, T):
-        m = _cup(3, U, T)
-        vec_add_scaled(m, _cup(3, T, U), 1, 3)
+    if bar3.d_cochain(U) == concat(T, T, 3):
+        m = concat(U, T, 3)
+        vec_add_scaled(m, concat(T, U, 3), 1, 3)
         massey3 = coh3.reduce_cocycle(m)
     st3 = lab.transfer("cyclic(3^1)", 4, 6)
     m3 = st3.op(("h1:1/3#0",) * 3)
@@ -175,14 +167,14 @@ def criterion_4(lab: Lab) -> CriterionResult:
     X, X2, X3 = bar4.algebra.iota_letters()
     T4, U4, V4 = {(X,): 1}, {(X2,): 1}, {(X3,): 1}
     massey4 = None
-    du_ok = bar4.d_cochain(U4) == _cup(2, T4, T4)
-    want_dv = _cup(2, T4, U4)
-    vec_add_scaled(want_dv, _cup(2, U4, T4), 1, 2)
+    du_ok = bar4.d_cochain(U4) == concat(T4, T4, 2)
+    want_dv = concat(T4, U4, 2)
+    vec_add_scaled(want_dv, concat(U4, T4, 2), 1, 2)
     dv_ok = bar4.d_cochain(V4) == want_dv
     if du_ok and dv_ok:
-        m = _cup(2, T4, V4)
-        vec_add_scaled(m, _cup(2, U4, U4), 1, 2)
-        vec_add_scaled(m, _cup(2, V4, T4), 1, 2)
+        m = concat(T4, V4, 2)
+        vec_add_scaled(m, concat(U4, U4, 2), 1, 2)
+        vec_add_scaled(m, concat(V4, T4, 2), 1, 2)
         massey4 = coh4.reduce_cocycle(m)
     st4 = lab.transfer("cyclic(2^2)", 4, 6)
     m3_zero = all(not v for v in st4.ops[3].values())

@@ -44,7 +44,7 @@ def test_internal_degree_examples():
     # 1/9 + 2/9 = 3/9 = 1/3
     d = InternalDegree(3, 1, 2) + InternalDegree(3, 2, 2)
     assert (d.num, d.pexp) == (1, 1)
-    assert internal_zero(3).is_zero()
+    assert internal_zero(3) == InternalDegree(3, 0)
     assert str(InternalDegree(3, 4, 2)) == "4/3^2"
     assert InternalDegree(5, 10, 1) == InternalDegree(5, 2, 0)
     assert InternalDegree(2, 3, 1).as_pair() == [3, 1]
@@ -81,6 +81,19 @@ def test_space_order_is_deterministic():
     assert s.labels() == ["w", "x", "y", "z"]
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([2, 3, 5]),
+       st.dictionaries(st.text(min_size=1, max_size=4),
+                       st.tuples(st.integers(0, 4), st.integers(0, 30), st.integers(0, 3)),
+                       max_size=12))
+def test_space_order_matches_fraction_sort(p, elements):
+    basis = [(label, coh, InternalDegree(p, num, e))
+             for label, (coh, num, e) in elements.items()]
+    space = BigradedSpace(PrimeField(p), basis)
+    want = sorted(basis, key=lambda t: (t[1], as_fraction(t[2]), t[0]))
+    assert space.labels() == [t[0] for t in want]
+
+
 def test_shift_validation_rejects_bad_entry():
     f, s, t = two_spaces()
     import pytest
@@ -92,9 +105,8 @@ def test_map_apply():
     f, s, t = two_spaces()
     d = BigradedMap(s, t, 1, internal_zero(3),
                     {("u", "a"): 0, ("v", "b"): 2, ("w", "c"): 1})
-    assert d.apply({"b": 2}) == {"v": 1}
-    assert not d.is_zero()
-    assert BigradedMap(s, t, 1, internal_zero(3), {("v", "b"): 3}).is_zero()
+    assert d.entries == {("v", "b"): 2, ("w", "c"): 1}
+    assert BigradedMap(s, t, 1, internal_zero(3), {("v", "b"): 3}).entries == {}
 
 
 def test_doubling_check():

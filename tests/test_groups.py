@@ -87,6 +87,29 @@ def test_weyl_order_must_hold():
     assert w4.size == 4
 
 
+@pytest.mark.parametrize("text", [
+    "semidirect(cyclic(3^1), inversion)",
+    "semidirect(cyclic(3^2), inversion)",
+    "semidirect(cyclic(3^1), Z4:[[2]])",
+    "semidirect(torus(2,1,2), Z3:[[0,1],[1,1]])",
+])
+def test_weyl_group_laws(text):
+    spec = parse_group_spec(text)
+    w = realize_weyl(spec)
+    mods = [spec.p ** d for d in spec.depths]
+    r = spec.rank
+
+    def product(a, b):
+        return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(r)) % mods[i]
+                           for j in range(r)) for i in range(r))
+
+    assert w.matrix(0) == tuple(tuple(int(i == j) for j in range(r)) for i in range(r))
+    for i in range(w.size):
+        assert w.mult(i, w.inverse(i)) == 0
+        for j in range(w.size):
+            assert w.matrix(w.mult(i, j)) == product(w.matrix(i), w.matrix(j))
+
+
 def test_matrix_weyl_kind_is_rejected():
     spec = GroupSpec(3, (1,), WeylSpec("matrix", 2, ((2,),)))
     with pytest.raises(SpecError, match="unknown weyl kind"):
@@ -174,27 +197,27 @@ def test_splitting_depth1_inversion_matches_bruteforce():
     assert stable == [{(1,): 1, (2,): 1}]
 
     choice = equivariant_splitting(parse_group_spec("semidirect(cyclic(3^1), inversion)"))
-    assert choice.lift(1, 0) == {(1,): 1, (2,): 1}
+    assert choice.lifts[1][0] == {(1,): 1, (2,): 1}
 
 
 def test_splitting_depth2_consistency_and_stability():
     spec = parse_group_spec("semidirect(cyclic(3^2), inversion)")
     choice = equivariant_splitting(spec)
-    lift2 = choice.lift(2, 0)
-    lift1 = choice.lift(1, 0)
+    lift2 = choice.lifts[2][0]
+    lift1 = choice.lifts[1][0]
     assert lift1 == {(1,): 1, (2,): 1}
     # level-1 lift = cube of level-2 lift under the exponent-tripling inclusion
     cube = poly_pow(lift2, 3, (9,), 3)
     included = {(3 * e[0],): c for e, c in lift1.items()}
     assert cube == included
     # deterministic rebuild
-    assert equivariant_splitting(spec) == choice
+    assert equivariant_splitting(spec).lifts == choice.lifts
 
 
 def test_splitting_trivial_weyl_is_identity():
     choice = equivariant_splitting(parse_group_spec("torus(3,2,2)"))
-    assert choice.lift(2, 0) == {(1, 0): 1}
-    assert choice.lift(1, 1) == {(0, 1): 1}
+    assert choice.lifts[2][0] == {(1, 0): 1}
+    assert choice.lifts[1][1] == {(0, 1): 1}
 
 
 def test_stretch_algebra_builds_and_is_graded():
