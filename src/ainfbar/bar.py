@@ -18,12 +18,21 @@ Letter weights are plain integers over the common denominator p^top, top
 the largest p-exponent among the letter degrees, so word degrees are sums
 of ints; an InternalDegree is built only for a block key.
 
-The differential runs on packed words: a word of length n is the integer
-whose n fields of dim.bit_length() bits hold its letters, the first letter
-in the highest field.  Letters are basis indices below dim, so each fits
-its field, and for words of one length code order is lex order.  The rank
-elimination keys its rows by codes, so it compares ints, not tuples;
-d_row decodes the packed expansion for callers that work on tuples.
+A word has one form throughout: the packed integer, or code, whose n
+fields of dim.bit_length() bits hold its n letters, the first letter in
+the highest field.  Letters are the basis indices 1..dim-1, since index 0
+is the unit, so no letter is 0: a code's length follows from its bit
+length, and the empty word is 0.  For words of one length code order is
+lex order.  Blocks list codes, cochains are {code: coeff}, and every
+elimination keys its rows by codes, so it compares ints, not tuples.
+
+An elimination that must lead on the largest word of a row (the kernels
+of struct, the coordinates of BlockBasis) stores word w at ~w = -w - 1
+and its tags at k >= 0.  ~ reverses code order and puts every word below
+every tag, so within a block the keys sort exactly as word positions i
+stored at dim - 1 - i with tags at dim + k would: pivots, kernels and
+representatives are those of that position layout, with no position
+index to build.
 """
 
 from __future__ import annotations
@@ -50,20 +59,6 @@ class BudgetExceededError(RuntimeError):
             f"{needed} words needed, budget {budget}")
 
 
-def concat(a: dict[tuple, int], b: dict[tuple, int], p: int) -> dict[tuple, int]:
-    """Concatenation product of two cochains given as {word: coeff}."""
-    out: dict = {}
-    for w1, c1 in a.items():
-        for w2, c2 in b.items():
-            w = w1 + w2
-            val = (out.get(w, 0) + c1 * c2) % p
-            if val:
-                out[w] = val
-            else:
-                out.pop(w, None)
-    return out
-
-
 class BarComplex:
     """Reduced bar cochains of a graded group algebra up to a degree cap."""
 
@@ -74,7 +69,6 @@ class BarComplex:
         self.algebra = algebra
         self.field = algebra.field
         self.cap = cap
-        self.budget = budget
         self.letters = algebra.iota_letters()
         degs = [algebra.degree(u) for u in self.letters]
         self.top = max(d.pexp for d in degs)
@@ -88,10 +82,9 @@ class BarComplex:
                 raise BudgetExceededError(n, total, budget)
         self.bits = algebra.dim.bit_length()
         self._comult = self._build_comult()
-        self._blocks: dict[int, dict[InternalDegree, list[tuple]]] = {}
+        self._blocks: dict[int, dict[InternalDegree, list[int]]] = {}
         self._ranks: dict[tuple[int, InternalDegree], int] = {}
         self._structs: dict[tuple[int, InternalDegree], BlockStruct] = {}
-        self._indexes: dict[tuple[int, InternalDegree], dict[tuple, int]] = {}
         self._cohomology: Optional[CohomologyData] = None
 
     def _build_comult(self) -> tuple[dict, dict]:
@@ -109,37 +102,46 @@ class BarComplex:
                  for u, pairs in plus.items()}
         return minus, plus
 
-    def blocks(self, n: int) -> dict[InternalDegree, list[tuple]]:
-        """Words of length n grouped by internal degree, lex order inside;
-        keys in order of first appearance."""
+    def blocks(self, n: int) -> dict[InternalDegree, list[int]]:
+        """Codes of the words of length n grouped by internal degree, lex
+        order inside; keys in order of first appearance.  Only the words
+        of length n - 1 are held as (code, weight) pairs; the last letter
+        goes straight into the blocks."""
         cached = self._blocks.get(n)
         if cached is not None:
             return cached
         if n > self.cap:
             raise ValueError(f"degree {n} beyond cap {self.cap}")
-        by_wt: dict[int, list[tuple]] = {}
-        for word in itertools.product(self.letters, repeat=n):
-            by_wt.setdefault(self._word_wt(word), []).append(word)
-        blocks = {self._degree(wt): words for wt, words in by_wt.items()}
+        bits = self.bits
+        pairs = [(u, self.letter_wt[u]) for u in self.letters]
+        prefixes = [(0, 0)]
+        for _ in range(n - 1):
+            prefixes = [((code << bits) | u, wt + uwt)
+                        for code, wt in prefixes for u, uwt in pairs]
+        by_wt: dict[int, list[int]] = {}
+        if n == 0:
+            by_wt[0] = [0]
+        else:
+            for code, wt in prefixes:
+                code <<= bits
+                for u, uwt in pairs:
+                    by_wt.setdefault(wt + uwt, []).append(code | u)
+        blocks = {self._degree(wt): codes for wt, codes in by_wt.items()}
         self._blocks[n] = blocks
         return blocks
-
-    def _word_wt(self, word: tuple) -> int:
-        return sum(map(self.letter_wt.__getitem__, word))
 
     def _degree(self, wt: int) -> InternalDegree:
         return InternalDegree(self.field.p, wt, self.top)
 
-    def _pack(self, word: tuple) -> int:
-        code = 0
-        for u in word:
-            code = (code << self.bits) | u
-        return code
-
-    def _unpack(self, code: int, n: int) -> tuple:
-        bits = self.bits
-        mask = (1 << bits) - 1
-        return tuple((code >> (bits * k)) & mask for k in range(n - 1, -1, -1))
+    def decode(self, code: int) -> list[int]:
+        """Letters of a word, first letter first."""
+        bits, mask = self.bits, (1 << self.bits) - 1
+        word = []
+        while code:
+            word.append(code & mask)
+            code >>= bits
+        word.reverse()
+        return word
 
     def _d_packed(self, code: int, n: int) -> dict[int, int]:
         """Differential of the packed word of length n, as a dict over
@@ -164,26 +166,32 @@ class BarComplex:
                     out.pop(target, None)
         return out
 
-    def d_row(self, word: tuple) -> dict[tuple, int]:
-        """Differential of a dual word, as a dict over target words."""
-        n = len(word)
-        return {self._unpack(t, n + 1): c
-                for t, c in self._d_packed(self._pack(word), n).items()}
-
-    def d_cochain(self, cochain: dict[tuple, int]) -> dict[tuple, int]:
-        """Differential of a cochain given as {word: coeff}."""
-        out: dict[tuple, int] = {}
+    def d_cochain(self, cochain: dict[int, int]) -> dict[int, int]:
+        """Differential of a cochain given as {code: coeff}."""
+        out: dict[int, int] = {}
         for w, c in cochain.items():
-            vec_add_scaled(out, self.d_row(w), c, self.field.p)
+            vec_add_scaled(out, self._d_packed(w, len(self.decode(w))), c,
+                           self.field.p)
         return out
+
+    def concat(self, a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+        """Concatenation product of two cochains {code: coeff}, the words
+        of b all of one length: each word of a shifted past them, or-ed
+        with each word of b."""
+        if not b:
+            return {}
+        p = self.field.p
+        shift = self.bits * len(self.decode(next(iter(b))))
+        return {(w1 << shift) | w2: c1 * c2 % p
+                for w1, c1 in a.items() for w2, c2 in b.items()}
 
     def rank(self, n: int, s: InternalDegree) -> int:
         """Rank of the differential leaving block (n, s).
 
         Source words are fed in reverse lex order: the lead target of a
         split row then tends to be unoccupied on arrival, which keeps the
-        elimination near-triangular.  Rows are keyed by packed target
-        words, whose order is the lex order of the words.
+        elimination near-triangular.  Rows are keyed by target codes,
+        whose order is the lex order of the words.
         """
         if n >= self.cap:
             raise ValueError("rank needs the target degree within the cap")
@@ -191,45 +199,13 @@ class BarComplex:
         cached = self._ranks.get(key)
         if cached is not None:
             return cached
-        words = self.blocks(n).get(s, [])
         elim = Eliminator(self.field)
-        for word in reversed(words):
-            row = self._d_packed(self._pack(word), n)
+        for code in reversed(self.blocks(n).get(s, [])):
+            row = self._d_packed(code, n)
             if row:
                 elim.add_row(row)
         self._ranks[key] = elim.rank
         return elim.rank
-
-    def _iter_words(self, n: int, s: InternalDegree):
-        """Words of length n and internal degree s, in lex order, without
-        materializing the whole degree.  Depth-first on integer weights
-        with window pruning: a prefix survives only while the remaining
-        weight stays between k * min and k * max over the k open
-        positions; the last position is a lookup by weight."""
-        cached = self._blocks.get(n)
-        if cached is None and n < 2:
-            cached = self.blocks(n)
-        if cached is not None:
-            yield from cached.get(s, [])
-            return
-        if s.pexp > self.top:
-            return
-        wts = [self.letter_wt[u] for u in self.letters]
-        lo, hi = min(wts), max(wts)
-        last: dict[int, list[int]] = {}
-        for u, wt in zip(self.letters, wts):
-            last.setdefault(wt, []).append(u)
-
-        def rec(prefix: tuple, rem: int, k: int):
-            if k == 1:
-                for u in last.get(rem, ()):
-                    yield prefix + (u,)
-                return
-            for u, wt in zip(self.letters, wts):
-                if lo * (k - 1) <= rem - wt <= hi * (k - 1):
-                    yield from rec(prefix + (u,), rem - wt, k - 1)
-
-        yield from rec((), s.num * s.p ** (self.top - s.pexp), n)
 
     def dims(self, n: int) -> dict[InternalDegree, int]:
         """Cohomology dimensions in degree n < cap, per internal block."""
@@ -248,21 +224,15 @@ class BarComplex:
                 out[s] = dim
         return out
 
-    def word_index(self, n: int, s: InternalDegree) -> dict[tuple, int]:
-        """Position of each word in block (n, s), built once per block."""
-        key = (n, s)
-        cached = self._indexes.get(key)
-        if cached is None:
-            cached = {w: i for i, w in enumerate(self._iter_words(n, s))}
-            self._indexes[key] = cached
-        return cached
-
-    def cochain_block(self, cochain: dict[tuple, int]) -> tuple[int, InternalDegree]:
+    def cochain_block(self, cochain: dict[int, int]) -> tuple[int, InternalDegree]:
         """The (n, s) block of a nonzero homogeneous cochain."""
-        lengths = {len(w) for w in cochain}
+        lengths, wts = set(), set()
+        for code in cochain:
+            word = self.decode(code)
+            lengths.add(len(word))
+            wts.add(sum(map(self.letter_wt.__getitem__, word)))
         if len(lengths) != 1:
             raise ValueError("cochain mixes word lengths")
-        wts = {self._word_wt(w) for w in cochain}
         if len(wts) != 1:
             raise ValueError("cochain mixes internal degrees")
         return lengths.pop(), self._degree(wts.pop())
@@ -275,13 +245,10 @@ class BarComplex:
         cached = self._structs.get(key)
         if cached is not None:
             return cached
-        tindex = {self._pack(w): i
-                  for w, i in self.word_index(n + 1, s).items()}
-        images = [{tindex[t]: c
-                   for t, c in self._d_packed(self._pack(word), n).items()}
-                  for word in self.blocks(n).get(s, [])]
-        pivot_cols, kernels = column_echelon(self.field, images, len(tindex))
-        st = BlockStruct(pivot_cols, [images[j] for j in pivot_cols], kernels)
+        pivot_cols, kernels = column_echelon(
+            self.field, ((w, self._d_packed(w, n))
+                         for w in self.blocks(n).get(s, [])))
+        st = BlockStruct(pivot_cols, kernels)
         self._structs[key] = st
         return st
 
@@ -294,17 +261,14 @@ class BarComplex:
 class BlockStruct:
     """Elimination data of the differential leaving one (n, s) block.
 
-    Source words are taken in lex order.  pivot_cols index the source
-    words whose images greedily span the boundary space one degree up,
-    images holds those images d(e_j) as position vectors over the target
-    block, and kernels follow the standard free-variable rule, so
-    everything downstream is deterministic.
+    Source words are taken in lex order.  pivot_cols are the source words
+    whose images greedily span the boundary space one degree up, and
+    kernels, cochains over the source words, follow the standard
+    free-variable rule, so everything downstream is deterministic.
     """
 
-    def __init__(self, pivot_cols: list[int], images: list[dict],
-                 kernels: list[dict]):
+    def __init__(self, pivot_cols: list[int], kernels: list[dict]):
         self.pivot_cols = pivot_cols
-        self.images = images
         self.kernels = kernels
 
 
@@ -317,37 +281,31 @@ class BlockBasis:
     cocycles Z, so a cochain is a cocycle exactly when its U part is zero.
 
     Two eliminations over the B + R rows build it, and neither holds a U
-    row.  The first, untagged and in word order, takes the B images and
+    row.  The first, untagged and keyed by code, takes the B images and
     then reduces each kernel vector of the block against B and the earlier
     representatives; a nonzero remainder is the next representative.  It
     is dropped when the basis is built.  The second, kept in elim, takes
-    the same rows with word position i stored at column dim - 1 - i, so
-    each row's lead is its largest position, and basis vector k tagged
-    with a 1 at column dim + k.  coords reduces a cochain against it: the
-    tags give minus its B and R coordinates and the data remainder is its
-    U part.
+    the same rows with word w stored at column ~w, so each row's lead is
+    its largest word, and basis vector k tagged with a 1 at column k >= 0,
+    above every word.  coords reduces a cochain against it: the tags give
+    minus its B and R coordinates and the data remainder is its U part.
+    Within a block code order is lex order, so this layout orders the keys
+    exactly as word positions would at dim - 1 - i, tags at dim + k.
 
-    Why the remainder lies on U.  Let z in Z have largest position j.
-    Since d(z) = 0, d(e_j) lies in the span of d(e_i), i < j, so j is a
-    free column.  The leads of the second elimination are the largest
-    positions of vectors of Z, so they lie in the free columns F; there
-    are dim Z = |F| of them, hence they are exactly F.  A remainder has no
+    Why the remainder lies on U.  Let z in Z have largest word j.  Since
+    d(z) = 0, d(e_j) lies in the span of d(e_i), i < j, so j is a free
+    column.  The leads of the second elimination are the largest words of
+    vectors of Z, so they lie in the free columns F; there are
+    dim Z = |F| of them, hence they are exactly F.  A remainder has no
     entry on a lead, so it lies on the pivot columns P.  No nonzero
-    vector of Z lies on P, since its largest position is free, so
+    vector of Z lies on P, since its largest word is free, so
     v = z + sum over j in P of u_j e_j is the unique decomposition of v
     over Z + U, and b, r and u are the coordinates in B + R + U.
     """
 
     def __init__(self, bar: BarComplex, n: int, s: InternalDegree):
-        self.index = bar.word_index(n, s)
-        self.dim = len(self.index)
-        self.b_words: list[tuple] = []
-        images: list[dict] = []
-        if n > 0:
-            below = bar.struct(n - 1, s)
-            words = bar.blocks(n - 1).get(s, [])
-            self.b_words = [words[j] for j in below.pivot_cols]
-            images = below.images
+        self.b_words: list[int] = bar.struct(n - 1, s).pivot_cols if n > 0 else []
+        images = [bar._d_packed(w, n - 1) for w in self.b_words]
         span = Eliminator(bar.field)
         for image in images:
             span.add_row(image)
@@ -359,33 +317,31 @@ class BlockBasis:
                 self.reps.append(rep)
                 span.add_row(rep)
         self.elim = Eliminator(bar.field)
-        top = self.dim - 1
         for k, vec in enumerate(itertools.chain(images, self.reps)):
-            row = {top - i: c for i, c in vec.items()}
-            row[self.dim + k] = 1
+            row = {~w: c for w, c in vec.items()}
+            row[k] = 1
             lead = self.elim.add_row(row)
-            if lead is None or lead >= self.dim:
+            if lead is None or lead >= 0:
                 raise AssertionError("block basis is singular")
-        if self.elim.rank + len(here.pivot_cols) != self.dim:
+        dim = len(bar.blocks(n).get(s, []))
+        if self.elim.rank + len(here.pivot_cols) != dim:
             raise AssertionError(f"block ({n}, {s}): basis does not span")
 
-    def coords(self, cochain: dict[tuple, int]) -> tuple[dict, dict, dict]:
+    def coords(self, cochain: dict[int, int]) -> tuple[dict, dict, dict]:
         """Coordinates of a cochain of this block: b on B and r on R,
-        indexed from 0, and u on U, keyed by word position j."""
+        indexed from 0, and u on U, keyed by word."""
         p = self.elim.field.p
-        dim, nb = self.dim, len(self.b_words)
-        top = dim - 1
+        nb = len(self.b_words)
         b: dict[int, int] = {}
         r: dict[int, int] = {}
         u: dict[int, int] = {}
-        vec = {top - self.index[w]: c for w, c in cochain.items()}
-        for i, c in self.elim.reduce(vec).items():
-            if i < dim:
-                u[top - i] = c
-            elif i - dim < nb:
-                b[i - dim] = p - c
+        for i, c in self.elim.reduce({~w: c for w, c in cochain.items()}).items():
+            if i < 0:
+                u[~i] = c
+            elif i < nb:
+                b[i] = p - c
             else:
-                r[i - dim - nb] = p - c
+                r[i - nb] = p - c
         return b, r, u
 
 
@@ -412,7 +368,6 @@ class CohomologyData:
                     labels.append(label)
                 self.block_labels[(n, s)] = labels
         self.space = BigradedSpace(bar.field, basis)
-        self._reps: dict[str, dict[tuple, int]] = {}
         self._bases: dict[tuple[int, InternalDegree], BlockBasis] = {}
 
     def block_basis(self, n: int, s: InternalDegree) -> BlockBasis:
@@ -423,20 +378,13 @@ class CohomologyData:
             self._bases[key] = got
         return got
 
-    def representative(self, label: str) -> dict[tuple, int]:
-        """Cocycle representative as {word: coeff}."""
-        cached = self._reps.get(label)
-        if cached is not None:
-            return cached
+    def representative(self, label: str) -> dict[int, int]:
+        """Cocycle representative as {code: coeff}."""
         n, s, k = self.block_of[label]
-        vec = self.block_basis(n, s).reps[k]
-        words = self.bar.blocks(n)[s]
-        rep = {words[i]: c for i, c in vec.items()}
-        self._reps[label] = rep
-        return rep
+        return self.block_basis(n, s).reps[k]
 
-    def reduce_cocycle(self, cochain: dict[tuple, int]) -> dict[str, int]:
-        """Class of a homogeneous cocycle given as {word: coeff}.
+    def reduce_cocycle(self, cochain: dict[int, int]) -> dict[str, int]:
+        """Class of a homogeneous cocycle given as {code: coeff}.
 
         Raises if the cochain is not a cocycle, that is when it has a
         nonzero coordinate on U.
@@ -458,7 +406,7 @@ class CohomologyData:
         n2, _, _ = self.block_of[label2]
         if n1 + n2 > self.bar.cap - 1:
             raise ValueError("cup product lands beyond the reported range")
-        return self.reduce_cocycle(concat(r1, r2, self.bar.field.p))
+        return self.reduce_cocycle(self.bar.concat(r1, r2))
 
 
 def build_bar(algebra: GradedGroupAlgebra, cap: int,
@@ -483,8 +431,6 @@ class Restriction:
             raise ValueError("bar caps must match")
         self.high = high
         self.low = low
-        self.fmap = fmap
-        p = high.field.p
         # transpose of f restricted to the reduced ideals
         self.tcol: dict[int, dict[int, int]] = {u: {} for u in high.letters}
         for low_letter in low.letters:
@@ -494,26 +440,23 @@ class Restriction:
                 self.tcol[high_idx][low_letter] = c
         self._check_commutes()
 
-    def cochain_image(self, word: tuple) -> dict[tuple, int]:
-        p = self.low.field.p
-        acc: dict[tuple, int] = {(): 1}
-        for u in word:
+    def cochain_image(self, code: int) -> dict[int, int]:
+        """Image of one high word, letter by letter through the transpose
+        of f: its high letters decode, its low words encode."""
+        p, bits = self.low.field.p, self.low.bits
+        acc = {0: 1}
+        for u in self.high.decode(code):
             col = self.tcol[u]
-            nxt: dict[tuple, int] = {}
-            for prefix, c in acc.items():
-                for lo, c2 in col.items():
-                    val = (c * c2) % p
-                    if val:
-                        w = prefix + (lo,)
-                        nxt[w] = (nxt.get(w, 0) + val) % p
-            acc = {w: c for w, c in nxt.items() if c}
+            acc = {(prefix << bits) | lo: c * c2 % p
+                   for prefix, c in acc.items() for lo, c2 in col.items()
+                   if c * c2 % p}
             if not acc:
                 return {}
         return acc
 
-    def _apply_to_cochain(self, cochain: dict[tuple, int]) -> dict[tuple, int]:
+    def _apply_to_cochain(self, cochain: dict[int, int]) -> dict[int, int]:
         p = self.low.field.p
-        out: dict[tuple, int] = {}
+        out: dict[int, int] = {}
         for w, c in cochain.items():
             vec_add_scaled(out, self.cochain_image(w), c, p)
         return out
@@ -534,11 +477,10 @@ class Restriction:
         length >= 2 is a letter followed by a shorter word.
         """
         for u in self.high.letters:
-            w = (u,)
-            lhs = self._apply_to_cochain(self.high.d_row(w))
-            if lhs != self.low.d_cochain(self.cochain_image(w)):
+            lhs = self._apply_to_cochain(self.high._d_packed(u, 1))
+            if lhs != self.low.d_cochain(self.cochain_image(u)):
                 raise AssertionError(
-                    f"restriction does not commute with d on {w}")
+                    f"restriction does not commute with d on letter {u}")
 
     def on_cohomology(self):
         """BigradedMap from the source cohomology to the target cohomology."""

@@ -586,23 +586,10 @@ class GradedGroupAlgebra:
             num = sum(ai * p ** (emax - ni) for ai, ni in zip(a, spec.depths))
             self._degrees.append(InternalDegree(p, num, emax))
         self.unit_index = self.index[(tuple([0] * r), 0)]
-        self.labels = [self._label(key) for key in self.basis_keys]
         self._table: dict[tuple[int, int], dict[int, int]] = {}
         self._conj_pow: dict[tuple[int, tuple[int, ...]], dict] = {}
         self._build_table()
         self._iota_cache: dict[tuple[int, int], dict[int, int]] = {}
-
-    def _label(self, key) -> str:
-        a, w = key
-        parts = []
-        for i, e in enumerate(a):
-            if e == 1:
-                parts.append(f"X{i+1}")
-            elif e > 1:
-                parts.append(f"X{i+1}^{e}")
-        if w != 0:
-            parts.append(f"w{w}")
-        return "*".join(parts) if parts else "1"
 
     def degree(self, i: int) -> InternalDegree:
         return self._degrees[i]

@@ -166,41 +166,44 @@ class Eliminator:
         return lead
 
 
-def column_echelon(field: PrimeField, columns: Iterable[dict],
-                   height: int) -> tuple[list[int], list[dict]]:
+def column_echelon(field: PrimeField, columns: Iterable[tuple[int, dict]]
+                   ) -> tuple[list[int], list[dict]]:
     """Pivot columns and kernel basis of the matrix with these columns.
 
-    Row indices lie in range(height).  Column j is a pivot when it is
-    independent of the columns before it, as in the RREF.  The kernel has
-    one vector per free column j: a 1 at j, zeros at the other free
-    columns, so it is the RREF free-variable basis.  Both come from one
-    elimination over the columns, each tagged with a unit vector at
-    height + j: a column that reduces to zero on the rows leaves its
-    kernel vector in the tags.
+    Columns come as (key, column) pairs, keys and row indices both
+    nonnegative ints.  A column is a pivot when it is independent of the
+    columns before it, as in the RREF, and pivots are returned by key.
+    The kernel has one vector per free column j, keyed by column key: a 1
+    at j, zeros at the other free columns, so it is the RREF free-variable
+    basis.  Both come from one elimination over the columns, row i stored
+    at ~i and each column tagged with a 1 at its key: every tag sorts
+    above every row, so a column that reduces to zero on the rows leaves
+    its kernel vector in the tags.  ~i = -i - 1 orders the rows as
+    height - 1 - i would, tags above them as at height + j, without
+    knowing the height.
 
-    Each column pivots on its largest row index.  The pivot set and
-    kernels do not depend on that choice, but the fill-in does: on a bar
-    block, with source and target words in lex order, the lex-smallest
-    target word of d(e_j) is mostly taken by an earlier column and the
-    lex-largest one mostly free.  Over the blocks of cyclic(3^2) at bar
-    cap 6, 12% of the columns then need a reduction instead of 81%, and
-    the pivot rows hold 6 times fewer entries.
+    Storing row i at ~i makes each column pivot on its largest row index.
+    The pivot set and kernels do not depend on that choice, but the
+    fill-in does: on a bar block, with source and target words in lex
+    order, the lex-smallest target word of d(e_j) is mostly taken by an
+    earlier column and the lex-largest one mostly free.  Over the blocks
+    of cyclic(3^2) at bar cap 6, 12% of the columns then need a reduction
+    instead of 81%, and the pivot rows hold 6 times fewer entries.
     """
     p = field.p
-    top = height - 1
     elim = Eliminator(field)
     pivots: list[int] = []
     kernels: list[dict] = []
-    for j, col in enumerate(columns):
-        row = {top - i: c % p for i, c in col.items() if c % p}
-        row[height + j] = 1
+    for j, col in columns:
+        row = {~i: c % p for i, c in col.items() if c % p}
+        row[j] = 1
         if min(row) in elim.pivots:
             row = elim._reduce(row)
-        if min(row) < height:
+        if min(row) < 0:
             elim.add_row(row)
             pivots.append(j)
         else:
-            kernels.append({t - height: c for t, c in row.items()})
+            kernels.append(row)
     return pivots, kernels
 
 

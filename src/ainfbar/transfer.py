@@ -30,7 +30,7 @@ from __future__ import annotations
 import itertools
 from typing import Optional
 
-from .bar import BarComplex, concat
+from .bar import BarComplex
 from .grading import BigradedSpace, internal_zero
 from .linalg import vec_add_scaled
 
@@ -51,10 +51,10 @@ class SDR:
         self.bar = bar
         self.coh = bar.cohomology()
 
-    def incl(self, label: str) -> dict[tuple, int]:
+    def incl(self, label: str) -> dict[int, int]:
         return dict(self.coh.representative(label))
 
-    def split(self, cochain: dict[tuple, int]) -> tuple[dict[tuple, int],
+    def split(self, cochain: dict[int, int]) -> tuple[dict[int, int],
                                                         dict[str, int]]:
         """(htp, proj) of a cochain, from one coordinate solve."""
         if not cochain:
@@ -66,10 +66,10 @@ class SDR:
         return ({basis.b_words[k]: c for k, c in b.items()},
                 {labels[k]: c for k, c in r.items()})
 
-    def proj(self, cochain: dict[tuple, int]) -> dict[str, int]:
+    def proj(self, cochain: dict[int, int]) -> dict[str, int]:
         return self.split(cochain)[1]
 
-    def htp(self, cochain: dict[tuple, int]) -> dict[tuple, int]:
+    def htp(self, cochain: dict[int, int]) -> dict[int, int]:
         return self.split(cochain)[0]
 
     def verify_identities(self) -> int:
@@ -199,7 +199,7 @@ class TransferEngine:
             d_left = sum(self._cohdeg(l) for l in left)
             exp = sigma(cut, t) + (t + 1) * d_left
             coeff = 1 if exp % 2 == 0 else p - 1
-            vec_add_scaled(acc, concat(hl, hr, p), coeff, p)
+            vec_add_scaled(acc, self.bar.concat(hl, hr), coeff, p)
         return acc
 
     def m(self, labels: tuple) -> dict[str, int]:

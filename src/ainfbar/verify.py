@@ -14,7 +14,7 @@ import tempfile
 import time
 from dataclasses import dataclass, field
 
-from .bar import BarComplex, build_bar, concat, restriction
+from .bar import BarComplex, build_bar, restriction
 from .formality import (
     CERTIFIED, NOT_APPLICABLE, TorusModel, certificate_for_spec,
     compare_finite_vs_invariants, invariant_dims,
@@ -152,12 +152,12 @@ def criterion_4(lab: Lab) -> CriterionResult:
     bar3 = lab.bar("cyclic(3^1)", 7)
     coh3 = bar3.cohomology()
     letters3 = bar3.algebra.iota_letters()
-    T = {(letters3[0],): 1}
-    U = {(letters3[1],): 2}
+    T = {letters3[0]: 1}
+    U = {letters3[1]: 2}
     massey3 = None
-    if bar3.d_cochain(U) == concat(T, T, 3):
-        m = concat(U, T, 3)
-        vec_add_scaled(m, concat(T, U, 3), 1, 3)
+    if bar3.d_cochain(U) == bar3.concat(T, T):
+        m = bar3.concat(U, T)
+        vec_add_scaled(m, bar3.concat(T, U), 1, 3)
         massey3 = coh3.reduce_cocycle(m)
     st3 = lab.transfer("cyclic(3^1)", 4, 6)
     m3 = st3.op(("h1:1/3#0",) * 3)
@@ -165,16 +165,16 @@ def criterion_4(lab: Lab) -> CriterionResult:
     bar4 = lab.bar("cyclic(2^2)", 7)
     coh4 = bar4.cohomology()
     X, X2, X3 = bar4.algebra.iota_letters()
-    T4, U4, V4 = {(X,): 1}, {(X2,): 1}, {(X3,): 1}
+    T4, U4, V4 = {X: 1}, {X2: 1}, {X3: 1}
     massey4 = None
-    du_ok = bar4.d_cochain(U4) == concat(T4, T4, 2)
-    want_dv = concat(T4, U4, 2)
-    vec_add_scaled(want_dv, concat(U4, T4, 2), 1, 2)
+    du_ok = bar4.d_cochain(U4) == bar4.concat(T4, T4)
+    want_dv = bar4.concat(T4, U4)
+    vec_add_scaled(want_dv, bar4.concat(U4, T4), 1, 2)
     dv_ok = bar4.d_cochain(V4) == want_dv
     if du_ok and dv_ok:
-        m = concat(T4, V4, 2)
-        vec_add_scaled(m, concat(U4, U4, 2), 1, 2)
-        vec_add_scaled(m, concat(V4, T4, 2), 1, 2)
+        m = bar4.concat(T4, V4)
+        vec_add_scaled(m, bar4.concat(U4, U4), 1, 2)
+        vec_add_scaled(m, bar4.concat(V4, T4), 1, 2)
         massey4 = coh4.reduce_cocycle(m)
     st4 = lab.transfer("cyclic(2^2)", 4, 6)
     m3_zero = all(not v for v in st4.ops[3].values())

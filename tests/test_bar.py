@@ -11,6 +11,7 @@ from ainfbar.bar import (
 from ainfbar.grading import InternalDegree, internal_zero
 from ainfbar.groups import AlgebraMap, build_group_algebra, power_inclusion
 from ainfbar.linalg import Eliminator, rref_rows, vec_add_scaled
+from packed import pack, pack_cochain, unpack, unpack_cochain
 
 
 @pytest.mark.parametrize("spec,cap", [
@@ -25,7 +26,12 @@ def test_d_squared_is_zero(spec, cap):
     for n in range(cap - 1):
         for words in bar.blocks(n).values():
             for w in words:
-                assert bar.d_cochain(bar.d_row(w)) == {}
+                assert bar.d_cochain(bar.d_cochain({w: 1})) == {}
+
+
+def d_word(bar, word):
+    """d of a tuple word through the packed differential, as tuples."""
+    return unpack_cochain(bar, bar.d_cochain({pack(bar, word): 1}))
 
 
 @pytest.mark.parametrize("spec", ["cyclic(2^2)", "cyclic(3^1)"])
@@ -33,16 +39,17 @@ def test_leibniz_exact(spec):
     alg = build_group_algebra(spec)
     bar = build_bar(alg, 6)
     p = bar.field.p
-    deg2 = [w for words in bar.blocks(2).values() for w in words]
-    deg3 = [w for words in bar.blocks(3).values() for w in words]
+    d_row = functools.partial(d_word, bar)
+    deg2 = [unpack(bar, w) for words in bar.blocks(2).values() for w in words]
+    deg3 = [unpack(bar, w) for words in bar.blocks(3).values() for w in words]
     for u in deg2:
         for v in deg3:
-            lhs = bar.d_row(u + v)
+            lhs = d_row(u + v)
             rhs = {}
-            for t, c in bar.d_row(u).items():
+            for t, c in d_row(u).items():
                 rhs[t + v] = c
             # |u| = 2 is even, no sign on the second term
-            for t, c in bar.d_row(v).items():
+            for t, c in d_row(v).items():
                 key = u + t
                 val = (rhs.get(key, 0) + c) % p
                 if val:
@@ -50,14 +57,14 @@ def test_leibniz_exact(spec):
                 else:
                     rhs.pop(key, None)
             assert lhs == rhs
-    deg1 = [w for words in bar.blocks(1).values() for w in words]
+    deg1 = [unpack(bar, w) for words in bar.blocks(1).values() for w in words]
     for u in deg1:
         for v in deg2:
-            lhs = bar.d_row(u + v)
+            lhs = d_row(u + v)
             rhs = {}
-            for t, c in bar.d_row(u).items():
+            for t, c in d_row(u).items():
                 rhs[t + v] = c
-            for t, c in bar.d_row(v).items():
+            for t, c in d_row(v).items():
                 key = u + t
                 val = (rhs.get(key, 0) + (p - 1) * c) % p
                 if val:
@@ -131,7 +138,7 @@ def dims_by_degree(coh):
 
 
 def word_degree(bar, word):
-    return bar._degree(bar._word_wt(word))
+    return bar._degree(sum(bar.letter_wt[u] for u in word))
 
 
 def test_unit_class_and_labels():
@@ -139,7 +146,7 @@ def test_unit_class_and_labels():
     bar = build_bar(alg, 4)
     coh = bar.cohomology()
     assert coh.space.degrees("h0:0#0") == (0, internal_zero(3))
-    assert coh.representative("h0:0#0") == {(): 1}
+    assert unpack_cochain(bar, coh.representative("h0:0#0")) == {(): 1}
     assert dims_by_degree(coh) == {0: 1, 1: 1, 2: 1, 3: 1}
 
 
@@ -185,7 +192,7 @@ def test_reduce_cocycle_classes():
     alg = build_group_algebra("cyclic(3^2)")
     bar = build_bar(alg, 5)
     coh = bar.cohomology()
-    x = coh.representative("h2:1#0")
+    x = unpack_cochain(bar, coh.representative("h2:1#0"))
     p = 3
     prod = {}
     for w1, c1 in x.items():
@@ -193,14 +200,14 @@ def test_reduce_cocycle_classes():
             w = w1 + w2
             prod[w] = (prod.get(w, 0) + c1 * c2) % p
     prod = {w: c for w, c in prod.items() if c}
-    assert list(coh.reduce_cocycle(prod)) == ["h4:2#0"]
+    assert list(coh.reduce_cocycle(pack_cochain(bar, prod))) == ["h4:2#0"]
     # a genuine coboundary reduces to zero
     word = bar.blocks(1)[InternalDegree(3, 2, 2)][0]
-    db = bar.d_row(word)
+    db = bar.d_cochain({word: 1})
     assert db
     assert coh.reduce_cocycle(db) == {}
     with pytest.raises(ValueError):
-        coh.reduce_cocycle({word * 2: 1})
+        coh.reduce_cocycle({pack(bar, unpack(bar, word) * 2): 1})
 
 
 @st.composite
@@ -218,8 +225,13 @@ def small_bars(draw):
     return build_bar(build_group_algebra(spec), draw(st.integers(2, top)))
 
 
+def word_index(bar, n, s):
+    """Position of each word in block (n, s)."""
+    return {w: i for i, w in enumerate(bar.blocks(n).get(s, []))}
+
+
 def in_positions(bar, n, s, cochain):
-    index = bar.word_index(n, s)
+    index = word_index(bar, n, s)
     return {index[w]: c for w, c in cochain.items()}
 
 
@@ -230,19 +242,93 @@ def test_block_elimination_properties(bar):
         for s, words in bar.blocks(n).items():
             block = bar.struct(n, s)
             assert len(block.pivot_cols) == bar.rank(n, s)
-            images = [in_positions(bar, n + 1, s, bar.d_row(w)) for w in words]
-            assert block.images == [images[j] for j in block.pivot_cols]
+            pivots = set(block.pivot_cols)
+            assert block.pivot_cols == [w for w in words if w in pivots]
+            images = [bar.d_cochain({w: 1}) for w in words]
             span = Eliminator(bar.field)
-            for j, image in enumerate(images):
-                if j in block.pivot_cols:
+            for w, image in zip(words, images):
+                if w in pivots:
                     assert span.add_row(image) is not None
                 else:
                     assert span.reduce(image) == {}
-            free = [j for j in range(len(words)) if j not in block.pivot_cols]
+            free = [w for w in words if w not in pivots]
             assert len(block.kernels) == len(free)
             for j, kernel in zip(free, block.kernels):
-                assert bar.d_cochain({words[i]: c for i, c in kernel.items()}) == {}
+                assert bar.d_cochain(kernel) == {}
                 assert {i: kernel.get(i, 0) for i in free} == {i: int(i == j) for i in free}
+
+
+def reference_column_echelon(field, columns, height):
+    """Pivot positions and free-variable kernels, keyed by position, with
+    row i stored at height - 1 - i and column j tagged at height + j."""
+    p = field.p
+    top = height - 1
+    elim = Eliminator(field)
+    pivots, kernels = [], []
+    for j, col in enumerate(columns):
+        row = {top - i: c % p for i, c in col.items() if c % p}
+        row[height + j] = 1
+        if min(row) in elim.pivots:
+            row = elim._reduce(row)
+        if min(row) < height:
+            elim.add_row(row)
+            pivots.append(j)
+        else:
+            kernels.append({t - height: c for t, c in row.items()})
+    return pivots, kernels
+
+
+@settings(max_examples=25, deadline=None)
+@given(small_bars())
+def test_struct_matches_the_position_indexed_reference(bar):
+    for n in range(bar.cap):
+        for s, words in bar.blocks(n).items():
+            images = [in_positions(bar, n + 1, s, bar.d_cochain({w: 1}))
+                      for w in words]
+            height = len(bar.blocks(n + 1).get(s, []))
+            pivots, kernels = reference_column_echelon(bar.field, images, height)
+            block = bar.struct(n, s)
+            assert block.pivot_cols == [words[j] for j in pivots]
+            assert [list(k.items()) for k in block.kernels] == [
+                [(words[j], c) for j, c in k.items()] for k in kernels]
+
+
+def random_cochain(rng, bar, words):
+    p = bar.field.p
+    return {w: rng.randrange(1, p) for w in rng.sample(words, min(3, len(words)))}
+
+
+@settings(max_examples=25, deadline=None)
+@given(small_bars(), st.integers(0, 2 ** 32))
+def test_concat_and_cochain_block_agree_with_tuple_words(bar, seed):
+    rng = random.Random(seed)
+    p = bar.field.p
+    assert min(bar.letters) >= 1
+    keys = [(n, s) for n in range(bar.cap + 1) for s in bar.blocks(n)]
+    assert bar.blocks(0) == {internal_zero(p): [0]}
+    for n, s in keys:
+        words = bar.blocks(n)[s]
+        assert [bar.decode(w) for w in words] == [list(unpack(bar, w)) for w in words]
+        assert bar.cochain_block(random_cochain(rng, bar, words)) == (n, s)
+    pairs = [((0, internal_zero(p)), rng.choice(keys)),
+             (rng.choice(keys), (0, internal_zero(p)))]
+    pairs += [(rng.choice(keys), rng.choice(keys)) for _ in range(10)]
+    for (n1, s1), (n2, s2) in pairs:
+        a = random_cochain(rng, bar, bar.blocks(n1)[s1])
+        b = random_cochain(rng, bar, bar.blocks(n2)[s2])
+        want = {}
+        for w1, c1 in unpack_cochain(bar, a).items():
+            for w2, c2 in unpack_cochain(bar, b).items():
+                vec_add_scaled(want, {w1 + w2: c1 * c2}, 1, p)
+        got = bar.concat(a, b)
+        assert unpack_cochain(bar, got) == want
+        assert bar.cochain_block(got) == (n1 + n2, s1 + s2)
+        if n1 != n2:
+            with pytest.raises(ValueError, match="mixes word lengths"):
+                bar.cochain_block({**a, **b})
+        elif s1 != s2:
+            with pytest.raises(ValueError, match="mixes internal degrees"):
+                bar.cochain_block({**a, **b})
 
 
 @settings(max_examples=25, deadline=None)
@@ -253,7 +339,8 @@ def test_block_basis_coordinates_rebuild_the_vector(bar):
     for n in range(bar.cap):
         for s, words in bar.blocks(n).items():
             basis = coh.block_basis(n, s)
-            b_vecs = bar.struct(n - 1, s).images if n > 0 else []
+            assert basis.b_words == (bar.struct(n - 1, s).pivot_cols if n > 0 else [])
+            b_vecs = [bar.d_cochain({w: 1}) for w in basis.b_words]
             pivot_cols = set(bar.struct(n, s).pivot_cols)
             for w in words:
                 b, r, u = basis.coords({w: 1})
@@ -262,35 +349,35 @@ def test_block_basis_coordinates_rebuild_the_vector(bar):
                 for coords, vecs in ((b, b_vecs), (r, basis.reps)):
                     for k, c in coords.items():
                         vec_add_scaled(rebuilt, vecs[k], c, p)
-                assert rebuilt == in_positions(bar, n, s, {w: 1})
+                assert rebuilt == {w: 1}
 
 
 class ReferenceBlockBasis:
     """The block basis as one tagged elimination over B, then R, then U,
-    the U rows being the unit vectors at the block's own pivot columns;
-    u is indexed by pivot order."""
+    keyed by word position, the U rows being the unit vectors at the
+    block's own pivot columns; reps are keyed by position and u is indexed
+    by pivot order."""
 
     def __init__(self, bar, n, s):
-        self.index = bar.word_index(n, s)
+        self.index = word_index(bar, n, s)
         self.dim = len(self.index)
         self.elim = Eliminator(bar.field)
         self.b_words = []
         if n > 0:
-            below = bar.struct(n - 1, s)
-            words = bar.blocks(n - 1).get(s, [])
-            self.b_words = [words[j] for j in below.pivot_cols]
-            for image in below.images:
-                self._add(image)
+            self.b_words = bar.struct(n - 1, s).pivot_cols
+            for w in self.b_words:
+                self._add(in_positions(bar, n, s, bar.d_cochain({w: 1})))
         self.reps = []
         here = bar.struct(n, s)
         for kernel in here.kernels:
+            kernel = in_positions(bar, n, s, kernel)
             rep = {i: c for i, c in self.elim.reduce(kernel).items()
                    if i < self.dim}
             if rep:
                 self.reps.append(rep)
                 self._add(rep)
-        for j in here.pivot_cols:
-            self._add({j: 1})
+        for w in here.pivot_cols:
+            self._add({self.index[w]: 1})
         assert self.elim.rank == self.dim
 
     def _add(self, vec):
@@ -325,7 +412,8 @@ def test_block_basis_matches_the_reference_with_u_rows(bar, seed):
             basis = BlockBasis(bar, n, s)
             ref = ReferenceBlockBasis(bar, n, s)
             assert basis.b_words == ref.b_words
-            assert basis.reps == ref.reps
+            assert basis.reps == [{words[i]: c for i, c in rep.items()}
+                                  for rep in ref.reps]
             pivot_cols = bar.struct(n, s).pivot_cols
             cochains = [{w: 1} for w in words]
             for _ in range(5):
@@ -379,17 +467,12 @@ def reference_blocks(bar, n):
 @settings(max_examples=30, deadline=None)
 @given(enumeration_bars())
 def test_word_enumeration_matches_internal_degree_reference(bar):
-    p, cap = bar.field.p, bar.cap
-    refs = [reference_blocks(bar, n) for n in range(cap + 1)]
-    degrees = {s for n in range(cap) for s in bar.blocks(n)}
-    unreached = InternalDegree(p, 1, max(s.pexp for s in refs[cap]) + 1)
-    assert unreached not in refs[cap]
-    assert cap not in bar._blocks
-    for s in sorted(degrees) + [unreached]:
-        assert list(bar._iter_words(cap, s)) == refs[cap].get(s, []), s
-    for n in range(cap + 1):
-        assert list(bar.blocks(n).items()) == list(refs[n].items()), n
-        for s, words in refs[n].items():
+    for n in range(bar.cap + 1):
+        refs = reference_blocks(bar, n)
+        got = [(s, [unpack(bar, w) for w in words])
+               for s, words in bar.blocks(n).items()]
+        assert got == list(refs.items()), n
+        for s, words in refs.items():
             assert all(word_degree(bar, w) == s for w in words)
 
 
@@ -424,13 +507,15 @@ def reference_d_row(bar, comult, word):
 def test_packed_differential_matches_tuple_expansion(bar):
     comult = reference_comult(bar)
     for n in range(min(bar.cap, 3) + 1):
-        for s, words in bar.blocks(n).items():
-            codes = [bar._pack(w) for w in words]
+        for s, codes in bar.blocks(n).items():
             assert codes == sorted(set(codes))
-            assert [bar._unpack(c, n) for c in codes] == words
+            words = [unpack(bar, c) for c in codes]
+            assert [pack(bar, w) for w in words] == codes
+            assert all(len(w) == n for w in words)
             rows = [reference_d_row(bar, comult, w) for w in words]
-            for w, row in zip(words, rows):
-                assert list(bar.d_row(w).items()) == list(row.items()), w
+            for c, w, row in zip(codes, words, rows):
+                got = unpack_cochain(bar, bar.d_cochain({c: 1}))
+                assert list(got.items()) == list(row.items()), w
             if n < bar.cap:
                 rank = bar.rank(n, s)
                 assert rank == len(bar.struct(n, s).pivot_cols)
@@ -475,17 +560,18 @@ def test_restriction_is_ring_sensible_on_squares():
     coh_low = bar_low.cohomology()
     x_hi = coh_high.representative("h2:1#0")
     sq = {}
-    for w1, c1 in x_hi.items():
-        for w2, c2 in x_hi.items():
+    for w1, c1 in unpack_cochain(bar_high, x_hi).items():
+        for w2, c2 in unpack_cochain(bar_high, x_hi).items():
             vec_add_scaled(sq, {w1 + w2: c1 * c2}, 1, 3)
-    image_sq = res._apply_to_cochain(sq)
+    image_sq = res._apply_to_cochain(pack_cochain(bar_high, sq))
     # restriction of x^2 equals (restriction of x)^2
-    x_image = res._apply_to_cochain(x_hi)
+    x_image = unpack_cochain(bar_low, res._apply_to_cochain(x_hi))
     direct = {}
     for w1, c1 in x_image.items():
         for w2, c2 in x_image.items():
             vec_add_scaled(direct, {w1 + w2: c1 * c2}, 1, 3)
-    assert coh_low.reduce_cocycle(image_sq) == coh_low.reduce_cocycle(direct)
+    assert coh_low.reduce_cocycle(image_sq) == coh_low.reduce_cocycle(
+        pack_cochain(bar_low, direct))
 
 
 def test_restriction_rejects_mismatched_caps():
@@ -551,9 +637,11 @@ def commutes_on_every_word(high, low, fmap):
         return out
 
     for n in range(high.cap):
-        for words in high.blocks(n).values():
-            for w in words:
-                if restrict(high.d_row(w)) != low.d_cochain(restrict({w: 1})):
+        for codes in high.blocks(n).values():
+            for code in codes:
+                lhs = restrict(unpack_cochain(high, high.d_cochain({code: 1})))
+                rhs = low.d_cochain(pack_cochain(low, restrict({unpack(high, code): 1})))
+                if lhs != unpack_cochain(low, rhs):
                     return False
     return True
 

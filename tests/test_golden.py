@@ -44,6 +44,8 @@ CASES = {
                                     "--max-degree", "3", "--max-arity", "3"],
     "restriction-z9-d4": ["restriction", "--spec", "cyclic(3^2)", "--max-degree", "4"],
     "restriction-z4-d4": ["restriction", "--spec", "cyclic(2^2)", "--max-degree", "4"],
+    "restriction-sdz9-d3": ["restriction", "--spec", "semidirect(cyclic(3^2), inversion)",
+                            "--max-degree", "3"],
     "certificate-z3-d4": ["certificate", "--spec", "cyclic(3^1)", "--max-degree", "4"],
     "certificate-sdcolimit-d4": ["certificate", "--spec", SD_COLIMIT, "--max-degree", "4"],
     "invariants-sdcolimit-d6": ["invariants", "--spec", SD_COLIMIT, "--max-degree", "6"],

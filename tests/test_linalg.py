@@ -68,7 +68,7 @@ def test_kernel_free_variable_rule():
     # rref([[1,1,1],[0,0,0]]) over F_2: free cols 1,2
     f = PrimeField(2)
     cols = column_dicts([[1, 1, 1], [0, 0, 0]], 3, 2)
-    pivots, basis = column_echelon(f, cols, 2)
+    pivots, basis = column_echelon(f, enumerate(cols))
     assert pivots == [0]
     assert basis == [{1: 1, 0: 1}, {2: 1, 0: 1}]
     for v in basis:
@@ -89,7 +89,7 @@ def fp_matrices(draw):
 @given(fp_matrices())
 def test_rank_nullity(m):
     f, rows, cols, dense = m
-    pivots, kernels = column_echelon(f, column_dicts(dense, cols, f.p), rows)
+    pivots, kernels = column_echelon(f, enumerate(column_dicts(dense, cols, f.p)))
     assert len(pivots) == rank(row_dicts(dense, f.p), f)
     assert len(pivots) + len(kernels) == cols
 
@@ -118,7 +118,7 @@ def test_rref_is_idempotent_and_rank_matches(m):
 def test_kernel_vectors_annihilate(m):
     f, rows, cols, dense = m
     columns = column_dicts(dense, cols, f.p)
-    pivots, kernels = column_echelon(f, columns, rows)
+    pivots, kernels = column_echelon(f, enumerate(columns))
     free = [j for j in range(cols) if j not in pivots]
     for j, v in zip(free, kernels):
         assert mat_vec(columns, v, f.p) == {}

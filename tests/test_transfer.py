@@ -12,6 +12,7 @@ from ainfbar.transfer import (
     CapOverflowError, SDR, TransferEngine, _max_intermediate, check_stasheff,
     sigma, transfer,
 )
+from packed import pack_cochain, unpack_cochain
 
 
 def cup_all(p, *reps):
@@ -62,14 +63,12 @@ def test_triple_product_matches_massey_oracle():
     X, X2 = alg.iota_letters()
     T = {(X,): 1}
     U = {(X2,): 2}
-    dU = {}
-    for w, c in U.items():
-        vec_add_scaled(dU, bar.d_row(w), c, 3)
+    dU = unpack_cochain(bar, bar.d_cochain(pack_cochain(bar, U)))
     assert dU == cup_all(3, T, T)
     M = {}
     vec_add_scaled(M, cup_all(3, U, T), 1, 3)
     vec_add_scaled(M, cup_all(3, T, U), 1, 3)
-    massey = coh.reduce_cocycle(M)
+    massey = coh.reduce_cocycle(pack_cochain(bar, M))
     assert massey == {"h2:1#0": 2}
 
     st = transfer(bar, arity_cap=3, degree_cap=5)
@@ -88,13 +87,9 @@ def test_quadruple_product_matches_massey_oracle_char_2():
     T = {(X,): 1}
     U = {(X2,): 1}
     V = {(X3,): 1}
-    dU = {}
-    for w, c in U.items():
-        vec_add_scaled(dU, bar.d_row(w), c, 2)
+    dU = unpack_cochain(bar, bar.d_cochain(pack_cochain(bar, U)))
     assert dU == cup_all(2, T, T)
-    dV = {}
-    for w, c in V.items():
-        vec_add_scaled(dV, bar.d_row(w), c, 2)
+    dV = unpack_cochain(bar, bar.d_cochain(pack_cochain(bar, V)))
     want = {}
     vec_add_scaled(want, cup_all(2, T, U), 1, 2)
     vec_add_scaled(want, cup_all(2, U, T), 1, 2)
@@ -103,7 +98,7 @@ def test_quadruple_product_matches_massey_oracle_char_2():
     vec_add_scaled(M, cup_all(2, T, V), 1, 2)
     vec_add_scaled(M, cup_all(2, U, U), 1, 2)
     vec_add_scaled(M, cup_all(2, V, T), 1, 2)
-    massey = coh.reduce_cocycle(M)
+    massey = coh.reduce_cocycle(pack_cochain(bar, M))
     assert massey == {"h2:1#0": 1}
 
     st = transfer(bar, arity_cap=4, degree_cap=6)
