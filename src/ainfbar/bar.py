@@ -32,7 +32,9 @@ and its tags at k >= 0.  ~ reverses code order and puts every word below
 every tag, so within a block the keys sort exactly as word positions i
 stored at dim - 1 - i with tags at dim + k would: pivots, kernels and
 representatives are those of that position layout, with no position
-index to build.
+index to build.  Both are column_echelon eliminations.  The bar keeps
+only each block's pivot words (pivots); its kernels are read once, by the
+block's BlockBasis, and dropped, so a block may be eliminated twice.
 """
 
 from __future__ import annotations
@@ -84,7 +86,7 @@ class BarComplex:
         self._comult = self._build_comult()
         self._blocks: dict[int, dict[InternalDegree, list[int]]] = {}
         self._ranks: dict[tuple[int, InternalDegree], int] = {}
-        self._structs: dict[tuple[int, InternalDegree], BlockStruct] = {}
+        self._pivots: dict[tuple[int, InternalDegree], list[int]] = {}
         self._cohomology: Optional[CohomologyData] = None
 
     def _build_comult(self) -> tuple[dict, dict]:
@@ -237,20 +239,25 @@ class BarComplex:
             raise ValueError("cochain mixes internal degrees")
         return lengths.pop(), self._degree(wts.pop())
 
-    def struct(self, n: int, s: InternalDegree) -> "BlockStruct":
-        """Forward elimination data of the differential leaving block (n, s)."""
+    def struct(self, n: int, s: InternalDegree) -> tuple[list[int], list[dict]]:
+        """Pivot words and free-variable kernels of the differential leaving
+        block (n, s), source words in lex order: the pivot words greedily
+        span the boundary space one degree up.  Every call eliminates the
+        block once, by column_echelon; only the pivot words are cached."""
         if n >= self.cap:
             raise ValueError("struct needs the target degree within the cap")
-        key = (n, s)
-        cached = self._structs.get(key)
+        pivots, kernels = column_echelon(
+            Eliminator(self.field), ((w, self._d_packed(w, n))
+                                     for w in self.blocks(n).get(s, [])))
+        self._pivots[(n, s)] = pivots
+        return pivots, kernels
+
+    def pivots(self, n: int, s: InternalDegree) -> list[int]:
+        """Pivot words of block (n, s), from the cache or from struct."""
+        cached = self._pivots.get((n, s))
         if cached is not None:
             return cached
-        pivot_cols, kernels = column_echelon(
-            self.field, ((w, self._d_packed(w, n))
-                         for w in self.blocks(n).get(s, [])))
-        st = BlockStruct(pivot_cols, kernels)
-        self._structs[key] = st
-        return st
+        return self.struct(n, s)[0]
 
     def cohomology(self) -> "CohomologyData":
         if self._cohomology is None:
@@ -258,37 +265,25 @@ class BarComplex:
         return self._cohomology
 
 
-class BlockStruct:
-    """Elimination data of the differential leaving one (n, s) block.
-
-    Source words are taken in lex order.  pivot_cols are the source words
-    whose images greedily span the boundary space one degree up, and
-    kernels, cochains over the source words, follow the standard
-    free-variable rule, so everything downstream is deterministic.
-    """
-
-    def __init__(self, pivot_cols: list[int], kernels: list[dict]):
-        self.pivot_cols = pivot_cols
-        self.kernels = kernels
-
-
 class BlockBasis:
     """Coordinates on one (n, s) block in the basis B + R + U.
 
     B holds the pivot images d(e_w) of the block below, one per word w of
-    b_words; R the class representatives; U the unit vectors e_j at the
-    block's own pivot columns j (BarComplex.struct).  B + R spans the
+    b_words = bar.pivots(n - 1, s); R the class representatives; U the
+    unit vectors e_j at the block's own pivot words j.  B + R spans the
     cocycles Z, so a cochain is a cocycle exactly when its U part is zero.
 
     Two eliminations over the B + R rows build it, and neither holds a U
     row.  The first, untagged and keyed by code, takes the B images and
-    then reduces each kernel vector of the block against B and the earlier
-    representatives; a nonzero remainder is the next representative.  It
-    is dropped when the basis is built.  The second, kept in elim, takes
-    the same rows with word w stored at column ~w, so each row's lead is
-    its largest word, and basis vector k tagged with a 1 at column k >= 0,
-    above every word.  coords reduces a cochain against it: the tags give
-    minus its B and R coordinates and the data remainder is its U part.
+    then reduces each kernel vector of bar.struct(n, s) against B and the
+    earlier representatives; a nonzero remainder is the next
+    representative.  The kernels are read only here, and they and this
+    elimination are dropped when the basis is built.  The second, kept in
+    elim, is column_echelon over the same rows, basis vector k as column
+    k: word w is stored at ~w, so each row's lead is its largest word, and
+    the row is tagged with a 1 at k >= 0, above every word.  coords
+    reduces a cochain against it: the tags give minus its B and R
+    coordinates and the data remainder is its U part.
     Within a block code order is lex order, so this layout orders the keys
     exactly as word positions would at dim - 1 - i, tags at dim + k.
 
@@ -304,27 +299,23 @@ class BlockBasis:
     """
 
     def __init__(self, bar: BarComplex, n: int, s: InternalDegree):
-        self.b_words: list[int] = bar.struct(n - 1, s).pivot_cols if n > 0 else []
+        self.b_words: list[int] = bar.pivots(n - 1, s) if n > 0 else []
         images = [bar._d_packed(w, n - 1) for w in self.b_words]
         span = Eliminator(bar.field)
         for image in images:
             span.add_row(image)
         self.reps: list[dict] = []
-        here = bar.struct(n, s)
-        for kernel in here.kernels:
+        pivots, kernels = bar.struct(n, s)
+        for kernel in kernels:
             rep = span.reduce(kernel)
             if rep:
                 self.reps.append(rep)
                 span.add_row(rep)
         self.elim = Eliminator(bar.field)
-        for k, vec in enumerate(itertools.chain(images, self.reps)):
-            row = {~w: c for w, c in vec.items()}
-            row[k] = 1
-            lead = self.elim.add_row(row)
-            if lead is None or lead >= 0:
-                raise AssertionError("block basis is singular")
+        if column_echelon(self.elim, enumerate(itertools.chain(images, self.reps)))[1]:
+            raise AssertionError("block basis is singular")
         dim = len(bar.blocks(n).get(s, []))
-        if self.elim.rank + len(here.pivot_cols) != dim:
+        if self.elim.rank + len(pivots) != dim:
             raise AssertionError(f"block ({n}, {s}): basis does not span")
 
     def coords(self, cochain: dict[int, int]) -> tuple[dict, dict, dict]:
@@ -383,20 +374,29 @@ class CohomologyData:
         n, s, k = self.block_of[label]
         return self.block_basis(n, s).reps[k]
 
+    def split(self, cochain: dict[int, int]) -> tuple[dict, dict, dict]:
+        """B + R + U parts of a homogeneous cochain {code: coeff}, from one
+        coordinate solve: the B coordinates keyed by the b_words, the R
+        coordinates by class label, and the U part keyed by word."""
+        if not cochain:
+            return {}, {}, {}
+        n, s = self.bar.cochain_block(cochain)
+        basis = self.block_basis(n, s)
+        b, r, u = basis.coords(cochain)
+        labels = self.block_labels.get((n, s), [])
+        return ({basis.b_words[k]: c for k, c in b.items()},
+                {labels[k]: c for k, c in r.items()}, u)
+
     def reduce_cocycle(self, cochain: dict[int, int]) -> dict[str, int]:
         """Class of a homogeneous cocycle given as {code: coeff}.
 
         Raises if the cochain is not a cocycle, that is when it has a
         nonzero coordinate on U.
         """
-        if not cochain:
-            return {}
-        n, s = self.bar.cochain_block(cochain)
-        _, r, u = self.block_basis(n, s).coords(cochain)
+        _, classes, u = self.split(cochain)
         if u:
             raise ValueError("vector is not a cocycle modulo boundaries in this block")
-        labels = self.block_labels.get((n, s), [])
-        return {labels[k]: c for k, c in r.items()}
+        return classes
 
     def cup(self, label1: str, label2: str) -> dict[str, int]:
         """Cup product of two classes via concatenation of representatives."""

@@ -589,7 +589,6 @@ class GradedGroupAlgebra:
         self._table: dict[tuple[int, int], dict[int, int]] = {}
         self._conj_pow: dict[tuple[int, tuple[int, ...]], dict] = {}
         self._build_table()
-        self._iota_cache: dict[tuple[int, int], dict[int, int]] = {}
 
     def degree(self, i: int) -> InternalDegree:
         return self._degrees[i]
@@ -659,17 +658,11 @@ class GradedGroupAlgebra:
 
     def iota_product(self, i: int, j: int) -> dict[int, int]:
         """Product of reduced-ideal basis elements, projected back to the ideal."""
-        key = (i, j)
-        cached = self._iota_cache.get(key)
-        if cached is not None:
-            return cached
         prod = self.mult_vec(self._letter_vec(i), self._letter_vec(j))
         eps = sum(c for k, c in prod.items() if self.augmentation(k)) % self.field.p
         if eps:
             raise AssertionError("product of ideal elements left the ideal")
-        out = {k: c for k, c in prod.items() if k != self.unit_index}
-        self._iota_cache[key] = out
-        return out
+        return {k: c for k, c in prod.items() if k != self.unit_index}
 
     def __repr__(self) -> str:
         return f"GradedGroupAlgebra({canonical_spec(self.spec)}, dim={self.dim})"

@@ -5,9 +5,9 @@ stored).  All elimination goes through one engine, Eliminator, which works
 on row dicts.  Its reduction walks a heap of pivot columns only, so the
 cost of a reduction follows the pivots it clears, not the columns it
 holds.  Two helpers build on it: column_echelon gives the pivot
-columns and free-variable kernel of a matrix from one tagged elimination,
-and rref_rows gives the reduced row echelon basis of a span by
-back-substitution over the eliminator's pivot rows.
+columns and free-variable kernel of a matrix from one tagged elimination
+into the caller's eliminator, and rref_rows gives the reduced row echelon
+basis of a span by back-substitution over the eliminator's pivot rows.
 """
 
 from __future__ import annotations
@@ -166,7 +166,7 @@ class Eliminator:
         return lead
 
 
-def column_echelon(field: PrimeField, columns: Iterable[tuple[int, dict]]
+def column_echelon(elim: Eliminator, columns: Iterable[tuple[int, dict]]
                    ) -> tuple[list[int], list[dict]]:
     """Pivot columns and kernel basis of the matrix with these columns.
 
@@ -180,7 +180,8 @@ def column_echelon(field: PrimeField, columns: Iterable[tuple[int, dict]]
     above every row, so a column that reduces to zero on the rows leaves
     its kernel vector in the tags.  ~i = -i - 1 orders the rows as
     height - 1 - i would, tags above them as at height + j, without
-    knowing the height.
+    knowing the height.  The caller's elim keeps the pivot rows: reducing
+    v, stored at ~i, leaves minus its pivot column coordinates in the tags.
 
     Storing row i at ~i makes each column pivot on its largest row index.
     The pivot set and kernels do not depend on that choice, but the
@@ -190,8 +191,7 @@ def column_echelon(field: PrimeField, columns: Iterable[tuple[int, dict]]
     of cyclic(3^2) at bar cap 6, 12% of the columns then need a reduction
     instead of 81%, and the pivot rows hold 6 times fewer entries.
     """
-    p = field.p
-    elim = Eliminator(field)
+    p = elim.field.p
     pivots: list[int] = []
     kernels: list[dict] = []
     for j, col in columns:

@@ -11,7 +11,7 @@ proof).  The R part is the projection, the B part, read on the source
 words e_j, is the contracting homotopy, and the representatives are the
 inclusion of a strong deformation retraction, with all five side
 identities holding exactly.  SDR.split reads both parts from one
-reduction, so the engine decomposes each lam once.
+reduction, CohomologyData.split, so the engine decomposes each lam once.
 
 The higher operations follow the split recursion
 
@@ -57,20 +57,7 @@ class SDR:
     def split(self, cochain: dict[int, int]) -> tuple[dict[int, int],
                                                         dict[str, int]]:
         """(htp, proj) of a cochain, from one coordinate solve."""
-        if not cochain:
-            return {}, {}
-        n, s = self.bar.cochain_block(cochain)
-        basis = self.coh.block_basis(n, s)
-        b, r, _ = basis.coords(cochain)
-        labels = self.coh.block_labels.get((n, s), [])
-        return ({basis.b_words[k]: c for k, c in b.items()},
-                {labels[k]: c for k, c in r.items()})
-
-    def proj(self, cochain: dict[int, int]) -> dict[str, int]:
-        return self.split(cochain)[1]
-
-    def htp(self, cochain: dict[int, int]) -> dict[int, int]:
-        return self.split(cochain)[0]
+        return self.coh.split(cochain)[:2]
 
     def verify_identities(self) -> int:
         """Exact SDR checks on every block basis vector; returns the number
@@ -80,34 +67,26 @@ class SDR:
         p = bar.field.p
         checked = 0
         for n in range(bar.cap - 1):
-            for s, words in bar.blocks(n).items():
+            for words in bar.blocks(n).values():
                 for w in words:
-                    e = {w: 1}
-                    he, pe = self.split(e)
-                    dhe = bar.d_cochain(he)
-                    hde = self.htp(bar.d_cochain(e))
-                    lhs = dict(dhe)
-                    vec_add_scaled(lhs, hde, 1, p)
+                    he, pe = self.split({w: 1})
+                    # d h + h d = 1 - incl proj
+                    lhs = bar.d_cochain(he)
+                    vec_add_scaled(lhs, self.split(bar.d_cochain({w: 1}))[0], 1, p)
                     rhs = {w: 1}
-                    back = {}
                     for label, c in pe.items():
-                        vec_add_scaled(back, self.incl(label), c, p)
-                    vec_add_scaled(rhs, back, p - 1, p)
+                        vec_add_scaled(rhs, self.incl(label), p - c, p)
                     if lhs != rhs:
                         raise AssertionError(f"homotopy identity fails on {w}")
-                    if self.htp(he):
-                        raise AssertionError(f"h h != 0 on {w}")
-                    if self.proj(he):
-                        raise AssertionError(f"proj h != 0 on {w}")
+                    if self.split(he) != ({}, {}):
+                        raise AssertionError(f"h h or proj h != 0 on {w}")
                     checked += 1
         for label in self.coh.space.labels():
             rep = self.incl(label)
             if bar.d_cochain(rep):
                 raise AssertionError(f"d incl != 0 on {label}")
-            if self.htp(rep):
-                raise AssertionError(f"h incl != 0 on {label}")
-            if self.proj(rep) != {label: 1}:
-                raise AssertionError(f"proj incl != id on {label}")
+            if self.split(rep) != ({}, {label: 1}):
+                raise AssertionError(f"h incl != 0 or proj incl != id on {label}")
         return checked
 
 

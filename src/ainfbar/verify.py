@@ -25,7 +25,7 @@ from .groups import (
     poly_mul, poly_pow, power_inclusion,
 )
 from .linalg import vec_add_scaled, vec_scale
-from .transfer import AInfinityStructure, check_stasheff, transfer
+from .transfer import SDR, AInfinityStructure, check_stasheff, transfer
 
 
 @dataclass
@@ -190,17 +190,19 @@ def criterion_4(lab: Lab) -> CriterionResult:
 
 
 def criterion_5(lab: Lab) -> CriterionResult:
-    counts = {}
+    counts, vectors = {}, {}
     ok = True
     for spec in ("cyclic(2^1)", "cyclic(3^1)", "cyclic(2^2)"):
         st = lab.transfer(spec, 4, 6)
         checked, failures = check_stasheff(st)
         counts[spec] = checked
-        ok = ok and checked > 0 and failures == []
+        vectors[spec] = SDR(lab.bar(spec, 7)).verify_identities()
+        ok = ok and checked > 0 and failures == [] and vectors[spec] > 0
     return CriterionResult(
-        5, "Stasheff relations hold exactly on all transfers", ok,
-        f"relation instances checked: {counts}, zero residuals",
-        {"checked": counts})
+        5, "SDR identities and Stasheff relations hold exactly on all transfers",
+        ok, f"relation instances checked: {counts}, zero residuals; "
+        f"SDR identities checked on {vectors} basis vectors",
+        {"checked": counts, "sdr_vectors": vectors})
 
 
 def criterion_6(lab: Lab) -> CriterionResult:

@@ -60,6 +60,9 @@ def test_criterion_05_stasheff_relations(run):
     assert set(res.data["checked"]) == {"cyclic(2^1)", "cyclic(3^1)",
                                         "cyclic(2^2)"}
     assert all(n > 0 for n in res.data["checked"].values())
+    assert res.data["sdr_vectors"] == {"cyclic(2^1)": 6, "cyclic(3^1)": 63,
+                                       "cyclic(2^2)": 364}
+    assert all(n > 0 for n in res.data["sdr_vectors"].values())
 
 
 def test_criterion_06_internal_grading_is_preserved(run):

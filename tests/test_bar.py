@@ -240,10 +240,10 @@ def in_positions(bar, n, s, cochain):
 def test_block_elimination_properties(bar):
     for n in range(bar.cap):
         for s, words in bar.blocks(n).items():
-            block = bar.struct(n, s)
-            assert len(block.pivot_cols) == bar.rank(n, s)
-            pivots = set(block.pivot_cols)
-            assert block.pivot_cols == [w for w in words if w in pivots]
+            pivot_words, kernels = bar.struct(n, s)
+            assert len(pivot_words) == bar.rank(n, s)
+            pivots = set(pivot_words)
+            assert pivot_words == [w for w in words if w in pivots]
             images = [bar.d_cochain({w: 1}) for w in words]
             span = Eliminator(bar.field)
             for w, image in zip(words, images):
@@ -252,8 +252,8 @@ def test_block_elimination_properties(bar):
                 else:
                     assert span.reduce(image) == {}
             free = [w for w in words if w not in pivots]
-            assert len(block.kernels) == len(free)
-            for j, kernel in zip(free, block.kernels):
+            assert len(kernels) == len(free)
+            for j, kernel in zip(free, kernels):
                 assert bar.d_cochain(kernel) == {}
                 assert {i: kernel.get(i, 0) for i in free} == {i: int(i == j) for i in free}
 
@@ -287,9 +287,9 @@ def test_struct_matches_the_position_indexed_reference(bar):
                       for w in words]
             height = len(bar.blocks(n + 1).get(s, []))
             pivots, kernels = reference_column_echelon(bar.field, images, height)
-            block = bar.struct(n, s)
-            assert block.pivot_cols == [words[j] for j in pivots]
-            assert [list(k.items()) for k in block.kernels] == [
+            pivot_words, got = bar.struct(n, s)
+            assert pivot_words == [words[j] for j in pivots]
+            assert [list(k.items()) for k in got] == [
                 [(words[j], c) for j, c in k.items()] for k in kernels]
 
 
@@ -339,9 +339,9 @@ def test_block_basis_coordinates_rebuild_the_vector(bar):
     for n in range(bar.cap):
         for s, words in bar.blocks(n).items():
             basis = coh.block_basis(n, s)
-            assert basis.b_words == (bar.struct(n - 1, s).pivot_cols if n > 0 else [])
+            assert basis.b_words == (bar.struct(n - 1, s)[0] if n > 0 else [])
             b_vecs = [bar.d_cochain({w: 1}) for w in basis.b_words]
-            pivot_cols = set(bar.struct(n, s).pivot_cols)
+            pivot_cols = set(bar.struct(n, s)[0])
             for w in words:
                 b, r, u = basis.coords({w: 1})
                 assert set(u) <= pivot_cols
@@ -364,19 +364,19 @@ class ReferenceBlockBasis:
         self.elim = Eliminator(bar.field)
         self.b_words = []
         if n > 0:
-            self.b_words = bar.struct(n - 1, s).pivot_cols
+            self.b_words = bar.struct(n - 1, s)[0]
             for w in self.b_words:
                 self._add(in_positions(bar, n, s, bar.d_cochain({w: 1})))
         self.reps = []
-        here = bar.struct(n, s)
-        for kernel in here.kernels:
+        pivot_words, kernels = bar.struct(n, s)
+        for kernel in kernels:
             kernel = in_positions(bar, n, s, kernel)
             rep = {i: c for i, c in self.elim.reduce(kernel).items()
                    if i < self.dim}
             if rep:
                 self.reps.append(rep)
                 self._add(rep)
-        for w in here.pivot_cols:
+        for w in pivot_words:
             self._add({self.index[w]: 1})
         assert self.elim.rank == self.dim
 
@@ -414,7 +414,7 @@ def test_block_basis_matches_the_reference_with_u_rows(bar, seed):
             assert basis.b_words == ref.b_words
             assert basis.reps == [{words[i]: c for i, c in rep.items()}
                                   for rep in ref.reps]
-            pivot_cols = bar.struct(n, s).pivot_cols
+            pivot_cols = bar.struct(n, s)[0]
             cochains = [{w: 1} for w in words]
             for _ in range(5):
                 k = rng.randint(1, len(words))
@@ -425,6 +425,43 @@ def test_block_basis_matches_the_reference_with_u_rows(bar, seed):
                 rb, rr, ru = ref.coords(cochain)
                 assert (b, r) == (rb, rr)
                 assert u == {pivot_cols[k]: c for k, c in ru.items()}
+
+
+def bases_in_order(bar, order):
+    """Every block basis, built in the given order of lengths, and the
+    blocks whose elimination data struct computed, call by call."""
+    calls = []
+    struct = bar.struct
+    bar.struct = lambda n, s: calls.append((n, s)) or struct(n, s)
+    bases = {(n, s): BlockBasis(bar, n, s)
+             for n in order for s in bar.blocks(n)}
+    return bases, calls
+
+
+@settings(max_examples=25, deadline=None)
+@given(small_bars())
+def test_block_bases_agree_in_either_order(bar):
+    fresh = build_bar(bar.algebra, bar.cap)
+    up, up_calls = bases_in_order(bar, range(bar.cap))
+    down, down_calls = bases_in_order(fresh, reversed(range(bar.cap)))
+    assert len(up_calls) == len(set(up_calls))
+    # descending, the basis of (n, s) eliminates (n - 1, s) for its B words
+    # before the basis of (n - 1, s) eliminates it again for its kernels
+    again = {(n - 1, s) for n in range(1, bar.cap) for s in bar.blocks(n)
+             if s in bar.blocks(n - 1)}
+    assert {k for k in down_calls if down_calls.count(k) == 2} == again
+    assert set(down_calls) == set(up_calls)
+    assert max(map(down_calls.count, down_calls)) <= 2
+    for (n, s), basis in up.items():
+        other = down[(n, s)]
+        assert other.b_words == basis.b_words
+        assert other.reps == basis.reps
+        for w in bar.blocks(n)[s]:
+            assert other.coords({w: 1}) == basis.coords({w: 1})
+    for b in (bar, fresh):
+        for n in range(bar.cap):
+            for s in bar.blocks(n):
+                assert b.pivots(n, s) == b.struct(n, s)[0]
 
 
 @functools.lru_cache(maxsize=None)
@@ -518,7 +555,7 @@ def test_packed_differential_matches_tuple_expansion(bar):
                 assert list(got.items()) == list(row.items()), w
             if n < bar.cap:
                 rank = bar.rank(n, s)
-                assert rank == len(bar.struct(n, s).pivot_cols)
+                assert rank == len(bar.struct(n, s)[0])
                 assert rank == len(rref_rows(bar.field, rows))
 
 

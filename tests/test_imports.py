@@ -38,7 +38,7 @@ def test_src_has_no_unused_imports():
 
 
 # Public entry points kept without an in-package caller (ROADMAP item 3).
-UNCALLED_API = {"nonformality_witness", "witness_certificate", "verify_identities"}
+UNCALLED_API = {"nonformality_witness", "witness_certificate"}
 
 
 def dead_definitions(trees: dict[str, ast.Module]) -> list[str]:

@@ -68,7 +68,7 @@ def test_kernel_free_variable_rule():
     # rref([[1,1,1],[0,0,0]]) over F_2: free cols 1,2
     f = PrimeField(2)
     cols = column_dicts([[1, 1, 1], [0, 0, 0]], 3, 2)
-    pivots, basis = column_echelon(f, enumerate(cols))
+    pivots, basis = column_echelon(Eliminator(f), enumerate(cols))
     assert pivots == [0]
     assert basis == [{1: 1, 0: 1}, {2: 1, 0: 1}]
     for v in basis:
@@ -89,7 +89,8 @@ def fp_matrices(draw):
 @given(fp_matrices())
 def test_rank_nullity(m):
     f, rows, cols, dense = m
-    pivots, kernels = column_echelon(f, enumerate(column_dicts(dense, cols, f.p)))
+    pivots, kernels = column_echelon(Eliminator(f),
+                                     enumerate(column_dicts(dense, cols, f.p)))
     assert len(pivots) == rank(row_dicts(dense, f.p), f)
     assert len(pivots) + len(kernels) == cols
 
@@ -118,11 +119,29 @@ def test_rref_is_idempotent_and_rank_matches(m):
 def test_kernel_vectors_annihilate(m):
     f, rows, cols, dense = m
     columns = column_dicts(dense, cols, f.p)
-    pivots, kernels = column_echelon(f, enumerate(columns))
+    pivots, kernels = column_echelon(Eliminator(f), enumerate(columns))
     free = [j for j in range(cols) if j not in pivots]
     for j, v in zip(free, kernels):
         assert mat_vec(columns, v, f.p) == {}
         assert {c: v.get(c, 0) for c in free} == {c: int(c == j) for c in free}
+
+
+@settings(max_examples=120, deadline=None)
+@given(fp_matrices())
+def test_column_echelon_fills_the_callers_eliminator(m):
+    f, rows, cols, dense = m
+    columns = column_dicts(dense, cols, f.p)
+    elim = Eliminator(f)
+    pivots, kernels = column_echelon(elim, enumerate(columns))
+    assert elim.rank == len(pivots)
+    # each column, stored at ~i, reduces to tags only: minus its coordinates
+    # on the pivot columns, which the kernel of a free column gives
+    free = [j for j in range(cols) if j not in pivots]
+    want = {j: {j: f.p - 1} for j in pivots}
+    want.update({j: {c: a for c, a in v.items() if c != j}
+                 for j, v in zip(free, kernels)})
+    for j, col in enumerate(columns):
+        assert elim.reduce({~i: c for i, c in col.items()}) == want[j]
 
 
 def test_eliminator_canonical_remainder():

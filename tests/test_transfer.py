@@ -250,8 +250,7 @@ def test_one_coordinate_solve_per_lambda(monkeypatch):
     sdr = SDR(bar)
     for tup in lams:
         cochain = engine.lam(tup)
-        assert engine.m(tup) == sdr.proj(cochain)
-        assert engine.hlam(tup) == sdr.htp(cochain)
+        assert sdr.split(cochain) == (engine.hlam(tup), engine.m(tup))
 
 
 @functools.lru_cache(maxsize=None)
