@@ -35,6 +35,13 @@ representatives are those of that position layout, with no position
 index to build.  Both are column_echelon eliminations.  The bar keeps
 only each block's pivot words (pivots); its kernels are read once, by the
 block's BlockBasis, and dropped, so a block may be eliminated twice.
+
+Letters are numbered in the algebra's basis order, (a, w) for X^a w, and
+that order serves everything that chooses words: blocks, struct's pivot
+words and kernels, BlockBasis representatives.  rank alone relabels the
+letters in Weyl-major order, (w, a), through its own packed
+comultiplication table; a rank does not depend on the order of the words,
+and the relabelled elimination needs far fewer reductions (see rank).
 """
 
 from __future__ import annotations
@@ -84,6 +91,23 @@ class BarComplex:
                 raise BudgetExceededError(n, total, budget)
         self.bits = algebra.dim.bit_length()
         self._comult = self._build_comult()
+        # rank's letter labels and table: Weyl-major, or None and the basis
+        # order when there are no Weyl letters
+        self._rank_label: Optional[list[int]] = None
+        self._rank_comult = self._comult
+        if algebra.weyl.size > 1:
+            order = sorted(self.letters,
+                           key=lambda u: algebra.basis_keys[u][::-1])
+            label = [0] * algebra.dim
+            for k, u in enumerate(order, 1):
+                label[u] = k
+            mask = (1 << self.bits) - 1
+            self._rank_label = label
+            self._rank_comult = tuple(
+                {label[u]: [((label[ab >> self.bits] << self.bits)
+                             | label[ab & mask], c) for ab, c in pairs]
+                 for u, pairs in table.items()}
+                for table in self._comult)
         self._blocks: dict[int, dict[InternalDegree, list[int]]] = {}
         self._ranks: dict[tuple[int, InternalDegree], int] = {}
         self._pivots: dict[tuple[int, InternalDegree], list[int]] = {}
@@ -145,11 +169,12 @@ class BarComplex:
         word.reverse()
         return word
 
-    def _d_packed(self, code: int, n: int) -> dict[int, int]:
+    def _d_packed(self, code: int, n: int, comult: tuple[dict, dict]
+                  ) -> dict[int, int]:
         """Differential of the packed word of length n, as a dict over
         packed words of length n + 1.  Position i (from 0) carries the
         sign (-1)^(i+1); the letter there is split into every pair [a|b]
-        of the comultiplication, in table order."""
+        of the comultiplication table comult, in table order."""
         p, bits = self.field.p, self.bits
         mask = (1 << bits) - 1
         out: dict[int, int] = {}
@@ -159,7 +184,7 @@ class BarComplex:
             u = (code >> shift) & mask
             base = ((code >> (shift + bits)) << (shift + 2 * bits)) \
                 | (code & ((1 << shift) - 1))
-            for ab, c in self._comult[i & 1][u]:
+            for ab, c in comult[i & 1][u]:
                 target = base | (ab << shift)
                 val = (get(target, 0) + c) % p
                 if val:
@@ -172,8 +197,8 @@ class BarComplex:
         """Differential of a cochain given as {code: coeff}."""
         out: dict[int, int] = {}
         for w, c in cochain.items():
-            vec_add_scaled(out, self._d_packed(w, len(self.decode(w))), c,
-                           self.field.p)
+            row = self._d_packed(w, len(self.decode(w)), self._comult)
+            vec_add_scaled(out, row, c, self.field.p)
         return out
 
     def concat(self, a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
@@ -194,6 +219,19 @@ class BarComplex:
         split row then tends to be unoccupied on arrival, which keeps the
         elimination near-triangular.  Rows are keyed by target codes,
         whose order is the lex order of the words.
+
+        With Weyl letters, the words are first recoded in Weyl-major letter
+        order (w, a).  In the basis order, X^a and X^a w are neighbours,
+        and since a product with a Weyl letter w - 1 lands on both X^a and
+        X^a w, the lex-smallest target of d[X^a|rest] and of
+        d[X^a w|rest] is the same word [w - 1|X^a|rest]: half of all rows
+        arrive on an occupied lead.  Weyl-major order puts the letters
+        w - 1 after every X^a, and the leads part.  Relabelling letters
+        is an isomorphism of the complex that keeps every letter weight,
+        so each block keeps its rank.  Over the blocks of
+        semidirect(torus(3,1,2), inversion) at bar cap 5, 44,368 of
+        88,808 rows need a reduction in basis order and 7,506 in
+        Weyl-major order.
         """
         if n >= self.cap:
             raise ValueError("rank needs the target degree within the cap")
@@ -201,11 +239,24 @@ class BarComplex:
         cached = self._ranks.get(key)
         if cached is not None:
             return cached
+        codes = self.blocks(n).get(s, [])
+        label = self._rank_label
+        if label is not None:
+            bits = self.bits
+            mask = (1 << bits) - 1
+            recoded = []
+            for code in codes:
+                out, shift = 0, 0
+                while code:
+                    out |= label[code & mask] << shift
+                    code >>= bits
+                    shift += bits
+                recoded.append(out)
+            codes = sorted(recoded)
         elim = Eliminator(self.field)
-        for code in reversed(self.blocks(n).get(s, [])):
-            row = self._d_packed(code, n)
-            if row:
-                elim.add_row(row)
+        comult = self._rank_comult
+        for code in reversed(codes):
+            elim._insert(self._d_packed(code, n, comult))
         self._ranks[key] = elim.rank
         return elim.rank
 
@@ -247,7 +298,7 @@ class BarComplex:
         if n >= self.cap:
             raise ValueError("struct needs the target degree within the cap")
         pivots, kernels = column_echelon(
-            Eliminator(self.field), ((w, self._d_packed(w, n))
+            Eliminator(self.field), ((w, self._d_packed(w, n, self._comult))
                                      for w in self.blocks(n).get(s, [])))
         self._pivots[(n, s)] = pivots
         return pivots, kernels
@@ -300,7 +351,7 @@ class BlockBasis:
 
     def __init__(self, bar: BarComplex, n: int, s: InternalDegree):
         self.b_words: list[int] = bar.pivots(n - 1, s) if n > 0 else []
-        images = [bar._d_packed(w, n - 1) for w in self.b_words]
+        images = [bar._d_packed(w, n - 1, bar._comult) for w in self.b_words]
         span = Eliminator(bar.field)
         for image in images:
             span.add_row(image)
@@ -477,7 +528,8 @@ class Restriction:
         length >= 2 is a letter followed by a shorter word.
         """
         for u in self.high.letters:
-            lhs = self._apply_to_cochain(self.high._d_packed(u, 1))
+            lhs = self._apply_to_cochain(
+                self.high._d_packed(u, 1, self.high._comult))
             if lhs != self.low.d_cochain(self.cochain_image(u)):
                 raise AssertionError(
                     f"restriction does not commute with d on letter {u}")

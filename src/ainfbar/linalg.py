@@ -4,10 +4,12 @@ Vectors are dicts {index: coeff} with coefficients in 1..p-1 (zeros never
 stored).  All elimination goes through one engine, Eliminator, which works
 on row dicts.  Its reduction walks a heap of pivot columns only, so the
 cost of a reduction follows the pivots it clears, not the columns it
-holds.  Two helpers build on it: column_echelon gives the pivot
-columns and free-variable kernel of a matrix from one tagged elimination
-into the caller's eliminator, and rref_rows gives the reduced row echelon
-basis of a span by back-substitution over the eliminator's pivot rows.
+holds.  Pivot rows are stored as built, lead coefficient included: a row
+that needs no reduction is neither copied nor scaled.  Two helpers build
+on it: column_echelon gives the pivot columns and free-variable kernel of
+a matrix from one tagged elimination into the caller's eliminator, and
+rref_rows gives the reduced row echelon basis of a span, normalized, by
+back-substitution over the eliminator's pivot rows.
 """
 
 from __future__ import annotations
@@ -80,12 +82,16 @@ def vec_scale(v: dict, scale: int, p: int) -> dict:
 class Eliminator:
     """Incremental Gaussian elimination over F_p on sparse row dicts.
 
-    Rows are fed one at a time.  Each surviving row is normalized to a
-    leading 1 at its smallest column; pivots are kept per column.  Pivot
-    rows are not inter-reduced, which is enough for rank, membership and
-    canonical remainders: reducing a vector against the pivots until no
-    pivot column remains occupied yields the unique representative of its
-    coset supported off the pivot columns.
+    Rows are fed one at a time, and each surviving row is kept as the
+    pivot of its smallest column, with its lead coefficient: scaling a
+    pivot row changes neither the leads nor the rank, and the reduction
+    divides by the lead as it goes.  Pivot rows are not inter-reduced,
+    which is enough for rank, membership and canonical remainders:
+    reducing a vector against the pivots until no pivot column remains
+    occupied yields the unique representative of its coset supported off
+    the pivot columns.  add_row copies the caller's row; _insert takes
+    ownership of a clean row and stores that very dict when its lead is
+    free.
     """
 
     def __init__(self, field: PrimeField):
@@ -111,7 +117,9 @@ class Eliminator:
         fill-in column that carries one and is absent from v when it lands
         (new, or cancelled earlier).  A column without a pivot is never
         cleared, so it never needs a visit.  A cancelled column may still
-        sit in the heap; its pop finds no entry and is skipped.
+        sit in the heap; its pop finds no entry and is skipped.  A pivot
+        row keeps its lead coefficient, so it is scaled by
+        -coef / lead, which is -coef when the lead is 1.
         """
         p = self.field.p
         pivots = self.pivots
@@ -123,8 +131,10 @@ class Eliminator:
             coef = v.get(col)
             if coef is None:
                 continue
-            scale = p - coef
-            for c, pc in pivots[col].items():
+            row = pivots[col]
+            lead = row[col]
+            scale = p - coef if lead == 1 else (p - coef) * pow(lead, -1, p) % p
+            for c, pc in row.items():
                 old = v.get(c)
                 if old is None:
                     v[c] = scale * pc % p
@@ -139,30 +149,30 @@ class Eliminator:
         return v
 
     def add_row(self, v: dict) -> Optional[int]:
-        """Insert a row; returns its pivot column, or None if dependent.
+        """Insert a copy of a row; returns its pivot column, or None if
+        dependent.  v itself is left alone."""
+        return self._insert(vec_clean(v, self.field.p))
 
-        A row whose lead column is unoccupied is stored as-is: pivot rows
-        are never inter-reduced, so skipping the reduction changes nothing
-        downstream and saves most of the work on near-triangular input.
-        Such a row is normalized in its fresh cleaned copy; a reduced row
-        is normalized into a new dict, which also compacts it after the
-        deletions of the reduction.
+    def _insert(self, v: dict) -> Optional[int]:
+        """Insert a clean row the caller hands over; returns its pivot
+        column, or None if dependent.
+
+        A row whose lead column is unoccupied is stored as it is, v itself:
+        pivot rows are never inter-reduced, so skipping the reduction
+        changes nothing downstream and saves most of the work on
+        near-triangular input.  A reduced row is stored as a new dict,
+        which compacts it after the deletions of the reduction.
         """
-        p = self.field.p
-        rem = vec_clean(v, p)
-        reduced = bool(rem) and min(rem) in self.pivots
-        if reduced:
-            rem = self._reduce(rem)
-        if not rem:
+        if not v:
             return None
-        lead = min(rem)
-        inv = self.field.inv(rem[lead])
-        if reduced:
-            rem = vec_scale(rem, inv, p)
-        elif inv != 1:
-            for i in rem:
-                rem[i] = rem[i] * inv % p
-        self.pivots[lead] = rem
+        lead = min(v)
+        if lead in self.pivots:
+            v = self._reduce(v)
+            if not v:
+                return None
+            v = dict(v)
+            lead = min(v)
+        self.pivots[lead] = v
         return lead
 
 
@@ -197,10 +207,11 @@ def column_echelon(elim: Eliminator, columns: Iterable[tuple[int, dict]]
     for j, col in columns:
         row = {~i: c % p for i, c in col.items() if c % p}
         row[j] = 1
-        if min(row) in elim.pivots:
+        reduced = min(row) in elim.pivots
+        if reduced:
             row = elim._reduce(row)
         if min(row) < 0:
-            elim.add_row(row)
+            elim._insert(dict(row) if reduced else row)
             pivots.append(j)
         else:
             kernels.append(row)
@@ -210,9 +221,9 @@ def column_echelon(elim: Eliminator, columns: Iterable[tuple[int, dict]]
 def rref_rows(field: PrimeField, rows: Iterable[dict]) -> list[dict]:
     """Reduced row echelon basis of the span of rows, by pivot column.
 
-    The eliminator's pivot rows are triangular; back-substitution from the
-    last pivot up clears every other pivot column, which gives the unique
-    RREF.
+    The eliminator's pivot rows are triangular; normalizing each to a
+    leading 1 and back-substituting from the last pivot up clears every
+    other pivot column, which gives the unique RREF.
     """
     p = field.p
     elim = Eliminator(field)
@@ -220,7 +231,8 @@ def rref_rows(field: PrimeField, rows: Iterable[dict]) -> list[dict]:
         elim.add_row(row)
     reduced: dict[int, dict] = {}
     for lead in sorted(elim.pivots, reverse=True):
-        row = dict(elim.pivots[lead])
+        row = elim.pivots[lead]
+        row = vec_scale(row, field.inv(row[lead]), p)
         for col in [c for c in row if c in reduced]:
             vec_add_scaled(row, reduced[col], p - row[col], p)
         reduced[lead] = row

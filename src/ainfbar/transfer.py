@@ -30,7 +30,7 @@ from __future__ import annotations
 import itertools
 from typing import Optional
 
-from .bar import BarComplex
+from .bar import BarComplex, CohomologyData
 from .grading import BigradedSpace, internal_zero
 from .linalg import vec_add_scaled
 
@@ -49,7 +49,11 @@ class SDR:
 
     def __init__(self, bar: BarComplex):
         self.bar = bar
-        self.coh = bar.cohomology()
+
+    @property
+    def coh(self) -> CohomologyData:
+        """The bar's cohomology, computed on first use."""
+        return self.bar.cohomology()
 
     def incl(self, label: str) -> dict[int, int]:
         return dict(self.coh.representative(label))
@@ -135,9 +139,18 @@ def _max_intermediate(degs: list[int]) -> int:
 
 
 class TransferEngine:
-    """Split recursion over an SDR, memoized on label tuples."""
+    """Split recursion over an SDR, memoized on label tuples.
+
+    The degree cap bounds every transfer intermediate: the bar complex
+    must reach one degree past it, and m refuses a tuple whose
+    intermediates would pass it, both with CapOverflowError.
+    """
 
     def __init__(self, sdr: SDR, degree_cap: int):
+        if degree_cap > sdr.bar.cap - 1:
+            raise CapOverflowError(
+                f"degree cap {degree_cap} needs bar words up to length "
+                f"{degree_cap + 1}, but the bar complex stops at {sdr.bar.cap}")
         self.sdr = sdr
         self.bar = sdr.bar
         self.p = sdr.bar.field.p
@@ -184,6 +197,11 @@ class TransferEngine:
     def m(self, labels: tuple) -> dict[str, int]:
         """m_k on a tuple of k >= 2 labels, read off the solve for h lam."""
         if labels not in self._m:
+            top = _max_intermediate([self._cohdeg(l) for l in labels])
+            if top > self.degree_cap:
+                raise CapOverflowError(
+                    f"m_{len(labels)} needs intermediates in degree {top}, "
+                    f"past the degree cap {self.degree_cap}")
             self.hlam(labels)
         return self._m[labels]
 
@@ -195,15 +213,10 @@ def transfer(bar: BarComplex, arity_cap: int, degree_cap: int) -> AInfinityStruc
     intermediates all stay within degree_cap.  The bar complex must reach
     one degree past the cap, otherwise CapOverflowError.
     """
-    if degree_cap > bar.cap - 1:
-        raise CapOverflowError(
-            f"degree cap {degree_cap} needs bar words up to length "
-            f"{degree_cap + 1}, but the bar complex stops at {bar.cap}")
     if arity_cap < 2:
         raise ValueError("arity cap must be at least 2")
-    sdr = SDR(bar)
-    engine = TransferEngine(sdr, degree_cap)
-    coh = bar.cohomology()
+    engine = TransferEngine(SDR(bar), degree_cap)
+    coh = engine.coh
     labels = [l for l in coh.space.labels()
               if coh.space.degrees(l)[0] <= degree_cap]
     struct = AInfinityStructure(coh.space, arity_cap, degree_cap)

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import itertools
+import pathlib
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,7 +12,10 @@ from ainfbar.groups import (
     GradedGroupAlgebra, GroupSpec, SpecError, WeylSpec, _verify_algebra,
     build_group_algebra, canonical_spec, equivariant_splitting,
     parse_group_spec, poly_mul, poly_pow, power_inclusion, realize_weyl,
+    validate_spec,
 )
+
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
 
 # -- grammar -------------------------------------------------------------------
@@ -114,6 +119,23 @@ def test_matrix_weyl_kind_is_rejected():
     spec = GroupSpec(3, (1,), WeylSpec("matrix", 2, ((2,),)))
     with pytest.raises(SpecError, match="unknown weyl kind"):
         build_group_algebra(spec)
+
+
+def readme_specs() -> list[str]:
+    """Every group spec the README quotes: the backquoted specs of its
+    group-spec paragraph and every --spec example."""
+    text = README.read_text()
+    para = text.split("Group specs:")[1].split("\n\n")[0]
+    quoted = [q for q in re.findall(r"`([^`]+)`", para) if "(" in q]
+    return quoted + re.findall(r'--spec "([^"]+)"', text)
+
+
+def test_readme_specs_are_valid():
+    specs = readme_specs()
+    assert len(specs) >= 10
+    assert any("[[" in s for s in specs)
+    for text in specs:
+        validate_spec(parse_group_spec(text))
 
 
 # -- polynomial helpers ----------------------------------------------------------

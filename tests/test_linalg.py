@@ -156,18 +156,42 @@ def test_eliminator_canonical_remainder():
     assert e.add_row({0: 1, 2: 2}) is None  # row0 - row1 = (1,0,-1)
 
 
+def normalized(row: dict, p: int) -> list:
+    """Items of a stored pivot row divided by its lead coefficient, in
+    order."""
+    inv = pow(row[min(row)], -1, p)
+    return [(c, a * inv % p) for c, a in row.items()]
+
+
 def test_add_row_normalizes_without_touching_the_callers_row():
     e = Eliminator(PrimeField(7))
-    # stored without reduction: lead 3, and 3^-1 = 5 mod 7
+    # stored without reduction, lead 3 kept; 3^-1 = 5 mod 7
     row = {2: 3, 4: 5, 6: 7}
     assert e.add_row(row) == 2
     assert row == {2: 3, 4: 5, 6: 7}
-    assert list(e.pivots[2].items()) == [(2, 1), (4, 4)]
-    # reduced first: {3: 2, 4: 5, 5: 3} remains, then lead 2, 2^-1 = 4
+    assert list(e.pivots[2].items()) == [(2, 3), (4, 5)]
+    assert normalized(e.pivots[2], 7) == [(2, 1), (4, 4)]
+    # reduced first: {3: 2, 4: 5, 5: 3} remains, lead 2 kept; 2^-1 = 4
     row = {2: 6, 3: 2, 4: 1, 5: 3}
     assert e.add_row(row) == 3
     assert row == {2: 6, 3: 2, 4: 1, 5: 3}
-    assert list(e.pivots[3].items()) == [(3, 1), (4, 6), (5, 5)]
+    assert list(e.pivots[3].items()) == [(3, 2), (4, 5), (5, 3)]
+    assert normalized(e.pivots[3], 7) == [(3, 1), (4, 6), (5, 5)]
+
+
+def test_insert_takes_the_row_and_add_row_copies_it():
+    e = Eliminator(PrimeField(5))
+    row = {1: 2, 3: 4}
+    assert e._insert(row) == 1
+    assert e.pivots[1] is row
+    row = {0: 3, 2: 1}
+    assert e.add_row(row) == 0
+    assert e.pivots[0] is not row and e.pivots[0] == row
+    # a reduced row is stored as a new dict: {2: 2, 3: 3} remains
+    row = {1: 1, 2: 2}
+    assert e._insert(row) == 2
+    assert e.pivots[2] is not row
+    assert list(e.pivots[2].items()) == [(2, 2), (3, 3)]
 
 
 def reference_reduce(pivots: dict, v: dict, p: int) -> dict:
@@ -231,7 +255,7 @@ def test_reduce_matches_the_heap_over_all_columns(script):
         before = dict(row)
         if add:
             assert elim.add_row(row) == reference_add_row(ref, row, f)
-            assert [(c, list(r.items())) for c, r in elim.pivots.items()] \
+            assert [(c, normalized(r, f.p)) for c, r in elim.pivots.items()] \
                 == [(c, list(r.items())) for c, r in ref.items()]
         else:
             assert list(elim.reduce(row).items()) \

@@ -209,6 +209,18 @@ def test_degree_cap_needs_room_in_the_bar_complex():
     assert st.degree_cap == 3
 
 
+def test_engine_enforces_its_degree_cap():
+    bar = build_bar(build_group_algebra("cyclic(3^1)"), 6)
+    with pytest.raises(CapOverflowError):
+        TransferEngine(SDR(bar), 6)
+    space = bar.cohomology().space
+    (x,) = [l for l in space.labels() if space.degrees(l)[0] == 2]
+    # m_2(x, x) passes through degree 4: refused at cap 1, x^2 at cap 4
+    with pytest.raises(CapOverflowError):
+        TransferEngine(SDR(bar), 1).m((x, x))
+    assert TransferEngine(SDR(bar), 4).m((x, x)) == {"h4:2#0": 1}
+
+
 def test_pinned_sign_rule():
     # sigma(1, 1) must be even so that the arity 2 operation is the honest
     # cup product; the pinned rule is Merkulov's s + 1
