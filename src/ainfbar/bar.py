@@ -42,6 +42,10 @@ words and kernels, BlockBasis representatives.  rank alone relabels the
 letters in Weyl-major order, (w, a), through its own packed
 comultiplication table; a rank does not depend on the order of the words,
 and the relabelled elimination needs far fewer reductions (see rank).
+rank(n, s) reads the pivot leads of rank(n - 1, s), the smallest words of
+the boundaries in the block, and skips those source words: the others
+span a complement of the boundaries, which d kills, so the rank is the
+same.
 """
 
 from __future__ import annotations
@@ -110,6 +114,8 @@ class BarComplex:
                 for table in self._comult)
         self._blocks: dict[int, dict[InternalDegree, list[int]]] = {}
         self._ranks: dict[tuple[int, InternalDegree], int] = {}
+        # pivot leads of rank(n, s), kept for rank(n + 1, s) to pop
+        self._leads: dict[tuple[int, InternalDegree], set[int]] = {}
         self._pivots: dict[tuple[int, InternalDegree], list[int]] = {}
         self._cohomology: Optional[CohomologyData] = None
 
@@ -231,7 +237,23 @@ class BarComplex:
         so each block keeps its rank.  Over the blocks of
         semidirect(torus(3,1,2), inversion) at bar cap 5, 44,368 of
         88,808 rows need a reduction in basis order and 7,506 in
-        Weyl-major order.
+        Weyl-major order; skipping the boundary leads, as below, leaves
+        2,582.
+
+        Only a complement of the boundaries is fed.  rank(n - 1, s) ends
+        with its pivot leads L, the lex-smallest words of the boundaries
+        B = d(block (n - 1, s)) in rank's letter order: every nonzero
+        boundary has its smallest word in L, and |L| = dim B.  So no
+        nonzero boundary lies in the span of the words not in L, whose
+        dimension is |block| - dim B: the block is the direct sum
+        B + span(words not in L).  Since d(B) = 0,
+        d(block) = d(span(words not in L)), and rank(n, s) feeds only the
+        words not in L.  Exactly dim H^{n,s} rows then reduce to zero,
+        where feeding every word would give |block| - rank(n, s): the
+        boundaries, which cost the longest reductions.  rank(n - 1, s) is
+        computed first when its block is nonempty; L is kept only when it
+        is nonempty and rank(n, s) is within the cap, and rank(n, s) pops
+        it, so no lead set outlives its one reader.
         """
         if n >= self.cap:
             raise ValueError("rank needs the target degree within the cap")
@@ -239,6 +261,9 @@ class BarComplex:
         cached = self._ranks.get(key)
         if cached is not None:
             return cached
+        if n > 0 and s in self.blocks(n - 1):
+            self.rank(n - 1, s)
+        leads = self._leads.pop((n - 1, s), ())
         codes = self.blocks(n).get(s, [])
         label = self._rank_label
         if label is not None:
@@ -256,7 +281,10 @@ class BarComplex:
         elim = Eliminator(self.field)
         comult = self._rank_comult
         for code in reversed(codes):
-            elim._insert(self._d_packed(code, n, comult))
+            if code not in leads:
+                elim._insert(self._d_packed(code, n, comult))
+        if elim.pivots and n + 1 < self.cap:
+            self._leads[key] = set(elim.pivots)
         self._ranks[key] = elim.rank
         return elim.rank
 
