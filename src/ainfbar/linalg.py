@@ -5,11 +5,13 @@ stored).  All elimination goes through one engine, Eliminator, which works
 on row dicts.  Its reduction walks a heap of pivot columns only, so the
 cost of a reduction follows the pivots it clears, not the columns it
 holds.  Pivot rows are stored as built, lead coefficient included: a row
-that needs no reduction is neither copied nor scaled.  Two helpers build
-on it: column_echelon gives the pivot columns and free-variable kernel of
-a matrix from one tagged elimination into the caller's eliminator, and
-rref_rows gives the reduced row echelon basis of a span, normalized, by
-back-substitution over the eliminator's pivot rows.
+that needs no reduction is neither copied nor scaled.  The bar's rank
+defers even that: its pivot table holds a word until a reduction reads
+the row.  Two helpers build on it: column_echelon gives the pivot
+columns and free-variable kernel of a matrix from one tagged elimination
+into the caller's eliminator, and rref_rows gives the reduced row echelon
+basis of a span, normalized, by back-substitution over the eliminator's
+pivot rows.
 """
 
 from __future__ import annotations
