@@ -26,19 +26,23 @@ length, and the empty word is 0.  For words of one length code order is
 lex order.  Blocks list codes, cochains are {code: coeff}, and every
 elimination keys its rows by codes, so it compares ints, not tuples.
 
-An elimination that must lead on the largest word of a row (the kernels
-of struct, the coordinates of BlockBasis) stores word w at ~w = -w - 1
+An elimination that must lead on the largest word of a row (a block's
+kernels, the coordinates of BlockBasis) stores word w at ~w = -w - 1
 and its tags at k >= 0.  ~ reverses code order and puts every word below
 every tag, so within a block the keys sort exactly as word positions i
 stored at dim - 1 - i with tags at dim + k would: pivots, kernels and
 representatives are those of that position layout, with no position
-index to build.  Both are column_echelon eliminations.  The bar keeps
-only each block's pivot words (pivots); its kernels are read once, by the
-block's BlockBasis, and dropped, so a block may be eliminated twice.
+index to build.  Both are column_echelon eliminations.  A block's
+kernels stream from its elimination (kernels) and are read once, by its
+BlockBasis, which stops at the last representative; a block that holds no
+class is never asked for them.  The bar keeps only each block's pivot
+words (pivots), cached when a stream runs to its end.  A stopped stream
+caches nothing, so a block with classes may be eliminated twice, once for
+its representatives and once for the pivot words the block above reads.
 
 Letters are numbered in the algebra's basis order, (a, w) for X^a w, and
-that order serves everything that chooses words: blocks, struct's pivot
-words and kernels, BlockBasis representatives.  rank alone relabels the
+that order serves everything that chooses words: blocks, pivot words
+and kernels, BlockBasis representatives.  rank alone relabels the
 letters in Weyl-major order, (w, a), through its own packed
 comultiplication table; a rank does not depend on the order of the words,
 and the relabelled elimination needs far fewer reductions (see rank).
@@ -54,7 +58,7 @@ first reads that pivot.
 from __future__ import annotations
 
 import itertools
-from typing import Optional
+from typing import Iterator, Optional
 
 from .grading import BigradedSpace, InternalDegree, internal_zero
 from .linalg import Eliminator, column_echelon, vec_add_scaled
@@ -359,36 +363,47 @@ class BarComplex:
 
     def cochain_block(self, cochain: dict[int, int]) -> tuple[int, InternalDegree]:
         """The (n, s) block of a nonzero homogeneous cochain."""
+        bits, wt = self.bits, self.letter_wt
+        mask = (1 << bits) - 1
         lengths, wts = set(), set()
         for code in cochain:
-            word = self.decode(code)
-            lengths.add(len(word))
-            wts.add(sum(map(self.letter_wt.__getitem__, word)))
+            lengths.add(-(-code.bit_length() // bits))
+            total = 0
+            while code:
+                total += wt[code & mask]
+                code >>= bits
+            wts.add(total)
         if len(lengths) != 1:
             raise ValueError("cochain mixes word lengths")
         if len(wts) != 1:
             raise ValueError("cochain mixes internal degrees")
         return lengths.pop(), self._degree(wts.pop())
 
-    def struct(self, n: int, s: InternalDegree) -> tuple[list[int], list[dict]]:
-        """Pivot words and free-variable kernels of the differential leaving
-        block (n, s), source words in lex order: the pivot words greedily
-        span the boundary space one degree up.  Every call eliminates the
-        block once, by column_echelon; only the pivot words are cached."""
+    def kernels(self, n: int, s: InternalDegree) -> Iterator[dict]:
+        """Free-variable kernels of the differential leaving block (n, s),
+        source words in lex order, streamed from one column_echelon
+        elimination of the block.  The kernel of free word j depends only
+        on the words before j, so a reader may stop early; only the rows
+        it reaches are built.  When the stream runs to its end, its pivot
+        words, which greedily span the boundaries one degree up, are
+        cached for pivots; a stopped stream caches nothing."""
         if n >= self.cap:
-            raise ValueError("struct needs the target degree within the cap")
-        pivots, kernels = column_echelon(
+            raise ValueError("kernels need the target degree within the cap")
+        pivots: list[int] = []
+        yield from column_echelon(
             Eliminator(self.field), ((w, self._d_packed(w, n, self._comult))
-                                     for w in self.blocks(n).get(s, [])))
+                                     for w in self.blocks(n).get(s, [])),
+            pivots)
         self._pivots[(n, s)] = pivots
-        return pivots, kernels
 
     def pivots(self, n: int, s: InternalDegree) -> list[int]:
-        """Pivot words of block (n, s), from the cache or from struct."""
-        cached = self._pivots.get((n, s))
-        if cached is not None:
-            return cached
-        return self.struct(n, s)[0]
+        """Pivot words of block (n, s), from the cache or from one full
+        run of the block's kernel stream."""
+        key = (n, s)
+        if key not in self._pivots:
+            for _ in self.kernels(n, s):
+                pass
+        return self._pivots[key]
 
     def cohomology(self) -> "CohomologyData":
         if self._cohomology is None:
@@ -424,11 +439,23 @@ class BlockBasis:
     cocycles Z, so a cochain is a cocycle exactly when its U part is zero.
 
     Two eliminations over the B + R rows build it, and neither holds a U
-    row.  The first, untagged and keyed by code, takes the B images and
-    then reduces each kernel vector of bar.struct(n, s) against B and the
-    earlier representatives; a nonzero remainder is the next
-    representative.  The kernels are read only here, and they and this
-    elimination are dropped when the basis is built.  The second, kept in
+    row.  The first picks the representatives.  The cached ranks give the
+    class count, classes = |block| - rank(n, s) - |b_words|: the cocycles
+    Z have dimension |block| - rank(n, s), and B has one independent
+    image per b_word.  A block without classes has Z = B and R empty, so
+    it skips this elimination and never eliminates its own block.
+    Otherwise an untagged elimination keyed by code takes the B images,
+    then reduces the kernels streamed by bar.kernels(n, s), a basis of Z,
+    against B and the earlier representatives; a nonzero remainder is the
+    next representative.  Each is independent of B and of those before
+    it, so once classes of them are found, B + R is a subspace of Z of
+    dimension |b_words| + classes = dim Z, hence Z itself: R spans Z/B,
+    and every later kernel, lying in Z, would reduce to zero.  The stream
+    stops there.  Each kernel depends only on the columns before it, so
+    the representatives are those a full stream would give.  If the
+    kernels run out first, B + R + U falls short of the block, and the
+    spanning check raises.  The stream and this elimination are dropped
+    when the basis is built.  The second, kept in
     elim, is column_echelon over the same rows, basis vector k as column
     k: word w is stored at ~w, so each row's lead is its largest word, and
     the row is tagged with a 1 at k >= 0, above every word.  coords
@@ -451,21 +478,25 @@ class BlockBasis:
     def __init__(self, bar: BarComplex, n: int, s: InternalDegree):
         self.b_words: list[int] = bar.pivots(n - 1, s) if n > 0 else []
         images = [bar._d_packed(w, n - 1, bar._comult) for w in self.b_words]
-        span = Eliminator(bar.field)
-        for image in images:
-            span.add_row(image)
-        self.reps: list[dict] = []
-        pivots, kernels = bar.struct(n, s)
-        for kernel in kernels:
-            rep = span.reduce(kernel)
-            if rep:
-                self.reps.append(rep)
-                span.add_row(rep)
-        self.elim = Eliminator(bar.field)
-        if column_echelon(self.elim, enumerate(itertools.chain(images, self.reps)))[1]:
-            raise AssertionError("block basis is singular")
         dim = len(bar.blocks(n).get(s, []))
-        if self.elim.rank + len(pivots) != dim:
+        classes = dim - bar.rank(n, s) - len(self.b_words)
+        self.reps: list[dict] = []
+        if classes > 0:
+            span = Eliminator(bar.field)
+            for image in images:
+                span.add_row(image)
+            for kernel in bar.kernels(n, s):
+                rep = span.reduce(kernel)
+                if rep:
+                    self.reps.append(rep)
+                    if len(self.reps) == classes:
+                        break
+                    span.add_row(rep)
+        self.elim = Eliminator(bar.field)
+        rows = enumerate(itertools.chain(images, self.reps))
+        for _ in column_echelon(self.elim, rows, []):
+            raise AssertionError("block basis is singular")
+        if self.elim.rank + bar.rank(n, s) != dim:
             raise AssertionError(f"block ({n}, {s}): basis does not span")
 
     def coords(self, cochain: dict[int, int]) -> tuple[dict, dict, dict]:

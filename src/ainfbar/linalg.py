@@ -7,17 +7,17 @@ cost of a reduction follows the pivots it clears, not the columns it
 holds.  Pivot rows are stored as built, lead coefficient included: a row
 that needs no reduction is neither copied nor scaled.  The bar's rank
 defers even that: its pivot table holds a word until a reduction reads
-the row.  Two helpers build on it: column_echelon gives the pivot
-columns and free-variable kernel of a matrix from one tagged elimination
-into the caller's eliminator, and rref_rows gives the reduced row echelon
-basis of a span, normalized, by back-substitution over the eliminator's
-pivot rows.
+the row.  Two helpers build on it: column_echelon streams the
+free-variable kernel of a matrix, and records its pivot columns, from one
+tagged elimination into the caller's eliminator, and rref_rows gives the
+reduced row echelon basis of a span, normalized, by back-substitution over
+the eliminator's pivot rows.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 
 class PrimeField:
@@ -178,20 +178,24 @@ class Eliminator:
         return lead
 
 
-def column_echelon(elim: Eliminator, columns: Iterable[tuple[int, dict]]
-                   ) -> tuple[list[int], list[dict]]:
-    """Pivot columns and kernel basis of the matrix with these columns.
+def column_echelon(elim: Eliminator, columns: Iterable[tuple[int, dict]],
+                   pivots: list[int]) -> Iterator[dict]:
+    """Kernel basis of the matrix with these columns, streamed, and its
+    pivot columns.
 
     Columns come as (key, column) pairs, keys and row indices both
     nonnegative ints.  A column is a pivot when it is independent of the
-    columns before it, as in the RREF, and pivots are returned by key.
-    The kernel has one vector per free column j, keyed by column key: a 1
-    at j, zeros at the other free columns, so it is the RREF free-variable
-    basis.  Both come from one elimination over the columns, row i stored
-    at ~i and each column tagged with a 1 at its key: every tag sorts
-    above every row, so a column that reduces to zero on the rows leaves
-    its kernel vector in the tags.  ~i = -i - 1 orders the rows as
-    height - 1 - i would, tags above them as at height + j, without
+    columns before it, as in the RREF; its key is appended to the caller's
+    pivots as it is found.  The kernel has one vector per free column j,
+    keyed by column key: a 1 at j, zeros at the other free columns, so it
+    is the RREF free-variable basis.  Each kernel is yielded as its column
+    is read, and it depends only on the columns before it, so a reader that
+    stops early gets the same first kernels; pivots is complete only when
+    the stream has run to its end.  Both come from one elimination over the
+    columns, row i stored at ~i and each column tagged with a 1 at its key:
+    every tag sorts above every row, so a column that reduces to zero on
+    the rows leaves its kernel vector in the tags.  ~i = -i - 1 orders the
+    rows as height - 1 - i would, tags above them as at height + j, without
     knowing the height.  The caller's elim keeps the pivot rows: reducing
     v, stored at ~i, leaves minus its pivot column coordinates in the tags.
 
@@ -204,8 +208,6 @@ def column_echelon(elim: Eliminator, columns: Iterable[tuple[int, dict]]
     instead of 81%, and the pivot rows hold 6 times fewer entries.
     """
     p = elim.field.p
-    pivots: list[int] = []
-    kernels: list[dict] = []
     for j, col in columns:
         row = {~i: c % p for i, c in col.items() if c % p}
         row[j] = 1
@@ -216,8 +218,7 @@ def column_echelon(elim: Eliminator, columns: Iterable[tuple[int, dict]]
             elim._insert(dict(row) if reduced else row)
             pivots.append(j)
         else:
-            kernels.append(row)
-    return pivots, kernels
+            yield row
 
 
 def rref_rows(field: PrimeField, rows: Iterable[dict]) -> list[dict]:

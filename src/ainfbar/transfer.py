@@ -5,9 +5,12 @@ images d(e_j) of the pivot source words one degree down, R by the chosen
 class representatives, U by the unit vectors at the pivot columns of the
 block's own differential; B + R spans the cocycles.  bar.BlockBasis
 eliminates only the B + R rows: once in word order, which picks the
-representatives, and once with tags in reverse word order, where what is
-left of a reduced cochain is exactly its U part (its docstring has the
-proof).  The R part is the projection, the B part, read on the source
+representatives from the block's streamed kernels and stops at the last
+one, and once with tags in reverse word order, where what is left of a
+reduced cochain is exactly its U part (its docstring has the proof).  The
+class count comes from the cached ranks, so a block without classes, the
+most common kind, skips the first elimination and never eliminates its
+own differential.  The R part is the projection, the B part, read on the source
 words e_j, is the contracting homotopy, and the representatives are the
 inclusion of a strong deformation retraction, with all five side
 identities holding exactly.  SDR.split reads both parts from one

@@ -1,3 +1,4 @@
+import collections
 import functools
 import itertools
 import random
@@ -11,6 +12,7 @@ from ainfbar.bar import (
 from ainfbar.grading import InternalDegree, internal_zero
 from ainfbar.groups import AlgebraMap, build_group_algebra, power_inclusion
 from ainfbar.linalg import Eliminator, rref_rows, vec_add_scaled
+from ainfbar.transfer import transfer
 from packed import pack, pack_cochain, unpack, unpack_cochain
 
 
@@ -225,6 +227,13 @@ def small_bars(draw):
     return build_bar(build_group_algebra(spec), draw(st.integers(2, top)))
 
 
+def struct(bar, n, s):
+    """Pivot words and kernels of block (n, s) from one full run of its
+    kernel stream; the run caches the pivot words it returns."""
+    kernels = list(bar.kernels(n, s))
+    return bar.pivots(n, s), kernels
+
+
 def word_index(bar, n, s):
     """Position of each word in block (n, s)."""
     return {w: i for i, w in enumerate(bar.blocks(n).get(s, []))}
@@ -240,7 +249,7 @@ def in_positions(bar, n, s, cochain):
 def test_block_elimination_properties(bar):
     for n in range(bar.cap):
         for s, words in bar.blocks(n).items():
-            pivot_words, kernels = bar.struct(n, s)
+            pivot_words, kernels = struct(bar, n, s)
             assert len(pivot_words) == bar.rank(n, s)
             pivots = set(pivot_words)
             assert pivot_words == [w for w in words if w in pivots]
@@ -287,7 +296,7 @@ def test_struct_matches_the_position_indexed_reference(bar):
                       for w in words]
             height = len(bar.blocks(n + 1).get(s, []))
             pivots, kernels = reference_column_echelon(bar.field, images, height)
-            pivot_words, got = bar.struct(n, s)
+            pivot_words, got = struct(bar, n, s)
             assert pivot_words == [words[j] for j in pivots]
             assert [list(k.items()) for k in got] == [
                 [(words[j], c) for j, c in k.items()] for k in kernels]
@@ -339,9 +348,9 @@ def test_block_basis_coordinates_rebuild_the_vector(bar):
     for n in range(bar.cap):
         for s, words in bar.blocks(n).items():
             basis = coh.block_basis(n, s)
-            assert basis.b_words == (bar.struct(n - 1, s)[0] if n > 0 else [])
+            assert basis.b_words == (struct(bar, n - 1, s)[0] if n > 0 else [])
             b_vecs = [bar.d_cochain({w: 1}) for w in basis.b_words]
-            pivot_cols = set(bar.struct(n, s)[0])
+            pivot_cols = set(struct(bar, n, s)[0])
             for w in words:
                 b, r, u = basis.coords({w: 1})
                 assert set(u) <= pivot_cols
@@ -364,11 +373,11 @@ class ReferenceBlockBasis:
         self.elim = Eliminator(bar.field)
         self.b_words = []
         if n > 0:
-            self.b_words = bar.struct(n - 1, s)[0]
+            self.b_words = struct(bar, n - 1, s)[0]
             for w in self.b_words:
                 self._add(in_positions(bar, n, s, bar.d_cochain({w: 1})))
         self.reps = []
-        pivot_words, kernels = bar.struct(n, s)
+        pivot_words, kernels = struct(bar, n, s)
         for kernel in kernels:
             kernel = in_positions(bar, n, s, kernel)
             rep = {i: c for i, c in self.elim.reduce(kernel).items()
@@ -414,7 +423,7 @@ def test_block_basis_matches_the_reference_with_u_rows(bar, seed):
             assert basis.b_words == ref.b_words
             assert basis.reps == [{words[i]: c for i, c in rep.items()}
                                   for rep in ref.reps]
-            pivot_cols = bar.struct(n, s)[0]
+            pivot_cols = struct(bar, n, s)[0]
             cochains = [{w: 1} for w in words]
             for _ in range(5):
                 k = rng.randint(1, len(words))
@@ -429,12 +438,22 @@ def test_block_basis_matches_the_reference_with_u_rows(bar, seed):
 
 def bases_in_order(bar, order):
     """Every block basis, built in the given order of lengths, and the
-    blocks whose elimination data struct computed, call by call."""
+    kernel streams started while building them, call by call, as pairs
+    (block of the basis, block eliminated)."""
     calls = []
-    struct = bar.struct
-    bar.struct = lambda n, s: calls.append((n, s)) or struct(n, s)
-    bases = {(n, s): BlockBasis(bar, n, s)
-             for n in order for s in bar.blocks(n)}
+    building = None
+    kernels = bar.kernels
+
+    def record(n, s):
+        calls.append((building, (n, s)))
+        return kernels(n, s)
+
+    bar.kernels = record
+    bases = {}
+    for n in order:
+        for s in bar.blocks(n):
+            building = (n, s)
+            bases[building] = BlockBasis(bar, n, s)
     return bases, calls
 
 
@@ -444,14 +463,20 @@ def test_block_bases_agree_in_either_order(bar):
     fresh = build_bar(bar.algebra, bar.cap)
     up, up_calls = bases_in_order(bar, range(bar.cap))
     down, down_calls = bases_in_order(fresh, reversed(range(bar.cap)))
-    assert len(up_calls) == len(set(up_calls))
-    # descending, the basis of (n, s) eliminates (n - 1, s) for its B words
-    # before the basis of (n - 1, s) eliminates it again for its kernels
-    again = {(n - 1, s) for n in range(1, bar.cap) for s in bar.blocks(n)
-             if s in bar.blocks(n - 1)}
-    assert {k for k in down_calls if down_calls.count(k) == 2} == again
-    assert set(down_calls) == set(up_calls)
-    assert max(map(down_calls.count, down_calls)) <= 2
+    # a basis eliminates its own block only when it holds classes, and
+    # stops that stream at the last representative, so nothing is cached;
+    # it eliminates the block below in full for its B words unless that
+    # is cached.  Either way each block below is eliminated once for its
+    # pivot words, and each block with classes once for its own
+    with_classes = {(n, s) for n in range(bar.cap) for s in bar.dims(n)}
+    below = {(n - 1, s) for n in range(1, bar.cap) for s in bar.blocks(n)}
+    want = collections.Counter(with_classes) + collections.Counter(below)
+    for calls in (up_calls, down_calls):
+        assert {key for key, elim in calls if elim == key} == with_classes
+        assert all(elim in (key, (key[0] - 1, key[1])) for key, elim in calls)
+        counts = collections.Counter(elim for _, elim in calls)
+        assert counts == want
+        assert max(counts.values()) <= 2
     for (n, s), basis in up.items():
         other = down[(n, s)]
         assert other.b_words == basis.b_words
@@ -461,7 +486,48 @@ def test_block_bases_agree_in_either_order(bar):
     for b in (bar, fresh):
         for n in range(bar.cap):
             for s in bar.blocks(n):
-                assert b.pivots(n, s) == b.struct(n, s)[0]
+                assert b.pivots(n, s) == struct(b, n, s)[0]
+
+
+def test_block_basis_raises_when_the_kernels_run_out(monkeypatch):
+    # with rank(n, s) one short, the block seems to hold one class more
+    # than its kernels give, and the spanning check must catch it
+    bar = build_bar(build_group_algebra("cyclic(3^2)"), 5)
+    n, s = next((n, s) for n in range(1, bar.cap) for s in bar.dims(n)
+                if bar.rank(n, s))
+    BlockBasis(bar, n, s)
+    rank = bar.rank
+    monkeypatch.setattr(bar, "rank",
+                        lambda m, t: rank(m, t) - ((m, t) == (n, s)))
+    with pytest.raises(AssertionError, match="basis does not span"):
+        BlockBasis(bar, n, s)
+
+
+def test_block_bases_build_few_rows(monkeypatch):
+    # the Z/9 op table to arity 3, degree 5 builds 11,033 rows when every
+    # basis eliminates its own block in full.  A basis of a block without
+    # classes must not eliminate that block, and a block with classes
+    # stops at its last representative
+    bar = build_bar(build_group_algebra("cyclic(3^2)"), 6)
+    rows, streams, building, built = [], [], [], set()
+    d_packed, kernels, init = bar._d_packed, bar.kernels, BlockBasis.__init__
+
+    def build(basis, bar, n, s):
+        building.append((n, s))
+        built.add((n, s))
+        init(basis, bar, n, s)
+        building.pop()
+
+    monkeypatch.setattr(bar, "_d_packed",
+                        lambda *args: rows.append(1) or d_packed(*args))
+    monkeypatch.setattr(bar, "kernels", lambda n, s: streams.append(
+        (building[-1] if building else None, (n, s))) or kernels(n, s))
+    monkeypatch.setattr(BlockBasis, "__init__", build)
+    transfer(bar, 3, 5)
+    assert len(rows) <= 8_000
+    with_classes = {(n, s) for n in range(bar.cap) for s in bar.dims(n)}
+    assert built - with_classes
+    assert {key for key, elim in streams if elim == key} <= with_classes
 
 
 @functools.lru_cache(maxsize=None)
@@ -560,7 +626,7 @@ def test_packed_differential_matches_tuple_expansion(bar):
                 assert list(got.items()) == list(row.items()), w
             if n < bar.cap:
                 rank = bar.rank(n, s)
-                assert rank == len(bar.struct(n, s)[0])
+                assert rank == len(struct(bar, n, s)[0])
                 assert rank == len(rref_rows(bar.field, rows))
 
 
@@ -634,7 +700,7 @@ def test_block_ranks_do_not_depend_on_call_order(spec, cap):
     for n in range(cap):
         for s in up.blocks(n):
             rank = up.rank(n, s)
-            assert down.rank(n, s) == rank == len(up.struct(n, s)[0])
+            assert down.rank(n, s) == rank == len(struct(up, n, s)[0])
     assert down._leads == up._leads == {}
 
 

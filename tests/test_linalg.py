@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import heapq
+import itertools
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -64,11 +65,18 @@ def test_rref_unique_known_example():
     assert red2 == [{0: 1}, {1: 1}, {2: 1}]
 
 
+def echelon(elim, columns):
+    """Pivot keys and kernels from one full run of column_echelon."""
+    pivots = []
+    kernels = list(column_echelon(elim, columns, pivots))
+    return pivots, kernels
+
+
 def test_kernel_free_variable_rule():
     # rref([[1,1,1],[0,0,0]]) over F_2: free cols 1,2
     f = PrimeField(2)
     cols = column_dicts([[1, 1, 1], [0, 0, 0]], 3, 2)
-    pivots, basis = column_echelon(Eliminator(f), enumerate(cols))
+    pivots, basis = echelon(Eliminator(f), enumerate(cols))
     assert pivots == [0]
     assert basis == [{1: 1, 0: 1}, {2: 1, 0: 1}]
     for v in basis:
@@ -89,8 +97,8 @@ def fp_matrices(draw):
 @given(fp_matrices())
 def test_rank_nullity(m):
     f, rows, cols, dense = m
-    pivots, kernels = column_echelon(Eliminator(f),
-                                     enumerate(column_dicts(dense, cols, f.p)))
+    pivots, kernels = echelon(Eliminator(f),
+                              enumerate(column_dicts(dense, cols, f.p)))
     assert len(pivots) == rank(row_dicts(dense, f.p), f)
     assert len(pivots) + len(kernels) == cols
 
@@ -119,7 +127,7 @@ def test_rref_is_idempotent_and_rank_matches(m):
 def test_kernel_vectors_annihilate(m):
     f, rows, cols, dense = m
     columns = column_dicts(dense, cols, f.p)
-    pivots, kernels = column_echelon(Eliminator(f), enumerate(columns))
+    pivots, kernels = echelon(Eliminator(f), enumerate(columns))
     free = [j for j in range(cols) if j not in pivots]
     for j, v in zip(free, kernels):
         assert mat_vec(columns, v, f.p) == {}
@@ -132,7 +140,7 @@ def test_column_echelon_fills_the_callers_eliminator(m):
     f, rows, cols, dense = m
     columns = column_dicts(dense, cols, f.p)
     elim = Eliminator(f)
-    pivots, kernels = column_echelon(elim, enumerate(columns))
+    pivots, kernels = echelon(elim, enumerate(columns))
     assert elim.rank == len(pivots)
     # each column, stored at ~i, reduces to tags only: minus its coordinates
     # on the pivot columns, which the kernel of a free column gives
@@ -142,6 +150,25 @@ def test_column_echelon_fills_the_callers_eliminator(m):
                  for j, v in zip(free, kernels)})
     for j, col in enumerate(columns):
         assert elim.reduce({~i: c for i, c in col.items()}) == want[j]
+
+
+@settings(max_examples=120, deadline=None)
+@given(fp_matrices())
+def test_column_echelon_streams_its_kernels(m):
+    f, rows, cols, dense = m
+    columns = list(enumerate(column_dicts(dense, cols, f.p)))
+    pivots, kernels = echelon(Eliminator(f), columns)
+    free = [j for j in range(cols) if j not in pivots]
+    for k in range(len(kernels) + 1):
+        # a reader that stops after k kernels gets the first k, and only
+        # the columns up to the k-th free one have been read
+        seen = []
+        read = iter(columns)
+        stream = column_echelon(Eliminator(f), read, seen)
+        assert list(itertools.islice(stream, k)) == kernels[:k]
+        last = free[k - 1] if k else -1
+        assert seen == [j for j in pivots if j < last]
+        assert next(read, (cols, None))[0] == last + 1
 
 
 def test_eliminator_canonical_remainder():
