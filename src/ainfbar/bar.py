@@ -14,9 +14,9 @@ the internal weight, so the complex splits into finite blocks indexed by
 (length, internal degree); all linear algebra happens one block at a time
 and cohomology is reported up to cap - 1.
 
-Letter weights are plain integers over the common denominator p^top, top
-the largest p-exponent among the letter degrees, so word degrees are sums
-of ints; an InternalDegree is built only for a block key.
+Letter weights are the algebra's weights, plain integers over p^top, top
+the largest depth, so word degrees are sums of ints; an InternalDegree is
+built only for a block key.
 
 A word has one form throughout: the packed integer, or code, whose n
 fields of dim.bit_length() bits hold its n letters, the first letter in
@@ -90,10 +90,7 @@ class BarComplex:
         self.field = algebra.field
         self.cap = cap
         self.letters = algebra.iota_letters()
-        degs = [algebra.degree(u) for u in self.letters]
-        self.top = max(d.pexp for d in degs)
-        self.letter_wt = {u: d.num * d.p ** (self.top - d.pexp)
-                          for u, d in zip(self.letters, degs)}
+        self.letter_wt = algebra.weights
         total = 0
         nletters = len(self.letters)
         for n in range(cap + 1):
@@ -131,13 +128,27 @@ class BarComplex:
         """Packed comultiplication, one table per sign: for each letter u,
         the pairs (a, b) with c_ab^u != 0 as (code of [a|b], coefficient).
         The first table holds the negated coefficients, for the positions
-        i = 0, 2, 4, .. (from 0) whose sign (-1)^(i+1) is -1."""
-        p, bits = self.field.p, self.bits
+        i = 0, 2, 4, .. (from 0) whose sign (-1)^(i+1) is -1.  Products
+        are read off the algebra's table: letter a is e_a, or e_a - 1 when
+        e_a is in W (augmentation 1).  Each must have augmentation 0, and
+        dropping its unit coefficient writes it on the letters."""
+        alg = self.algebra
+        p, bits, unit = self.field.p, self.bits, alg.unit_index
+        aug = [alg.augmentation(k) for k in range(alg.dim)]
         plus: dict[int, list[tuple[int, int]]] = {u: [] for u in self.letters}
         for a in self.letters:
             for b in self.letters:
-                for u, c in self.algebra.iota_product(a, b).items():
-                    plus[u].append(((a << bits) | b, c))
+                prod = alg.mult(a, b)
+                if aug[a] or aug[b]:
+                    prod = {}
+                    for i, ci in ((a, 1), (unit, -aug[a])):
+                        for j, cj in ((b, 1), (unit, -aug[b])):
+                            vec_add_scaled(prod, alg.mult(i, j), ci * cj, p)
+                if prod and sum(c for k, c in prod.items() if aug[k]) % p:
+                    raise AssertionError("product of ideal elements left the ideal")
+                for u, c in prod.items():
+                    if u != unit:
+                        plus[u].append(((a << bits) | b, c))
         minus = {u: [(ab, p - c) for ab, c in pairs]
                  for u, pairs in plus.items()}
         return minus, plus
@@ -195,7 +206,7 @@ class BarComplex:
         return blocks
 
     def _degree(self, wt: int) -> InternalDegree:
-        return InternalDegree(self.field.p, wt, self.top)
+        return InternalDegree(self.field.p, wt, self.algebra.top)
 
     def decode(self, code: int) -> list[int]:
         """Letters of a word, first letter first."""
@@ -454,9 +465,11 @@ class BlockBasis:
     stops there.  Each kernel depends only on the columns before it, so
     the representatives are those a full stream would give.  If the
     kernels run out first, B + R + U falls short of the block, and the
-    spanning check raises.  The stream and this elimination are dropped
-    when the basis is built.  The second, kept in
-    elim, is column_echelon over the same rows, basis vector k as column
+    spanning check raises, as it does when |b_words| != rank(n - 1, s).  A
+    rank(n, s) too high on a block with classes still spans, one class
+    short; it is seen only when pivots(n, s) is read, one length up.  The
+    stream and this elimination are dropped when the basis is built.  The
+    second, kept in elim, is column_echelon over the same rows, basis vector k as column
     k: word w is stored at ~w, so each row's lead is its largest word, and
     the row is tagged with a 1 at k >= 0, above every word.  coords
     reduces a cochain against it: the tags give minus its B and R
@@ -477,6 +490,9 @@ class BlockBasis:
 
     def __init__(self, bar: BarComplex, n: int, s: InternalDegree):
         self.b_words: list[int] = bar.pivots(n - 1, s) if n > 0 else []
+        if n > 0 and len(self.b_words) != bar.rank(n - 1, s):
+            raise AssertionError(f"block ({n}, {s}): {len(self.b_words)} pivot "
+                                 f"words below, rank {bar.rank(n - 1, s)}")
         images = [bar._d_packed(w, n - 1, bar._comult) for w in self.b_words]
         dim = len(bar.blocks(n).get(s, []))
         classes = dim - bar.rank(n, s) - len(self.b_words)

@@ -454,15 +454,6 @@ def conj_generator_images(weyl: WeylGroup, spec: GroupSpec) -> list[list[dict]]:
     return images
 
 
-def _apply_conj_linear(images_w: list[dict], linear: dict, p: int) -> dict:
-    """Conjugation applied to a linear combination of the generators Y_j."""
-    out: dict = {}
-    for e, c in linear.items():
-        j = next(i for i, x in enumerate(e) if x)
-        vec_add_scaled(out, images_w[j], c, p)
-    return out
-
-
 def _conj_monomial(images_w: list[dict], exp: tuple[int, ...],
                    caps: tuple[int, ...], p: int) -> dict:
     r = len(caps)
@@ -517,8 +508,9 @@ def equivariant_splitting(spec: GroupSpec) -> SplittingChoice:
         acc: dict = {}
         for w in range(weyl.size):
             moved = images[weyl.inverse(w)][i]  # rho(w^-1)(Y_i)
-            linear = {e: c for e, c in moved.items() if sum(e) == 1}
-            vec_add_scaled(acc, _apply_conj_linear(images[w], linear, p), 1, p)
+            for e, c in moved.items():
+                if sum(e) == 1:  # the linear part, moved by rho(w)
+                    vec_add_scaled(acc, _conj_monomial(images[w], e, caps, p), c, p)
         top.append({e: (c * inv_order) % p for e, c in acc.items()})
     _check_lifts(top, images, weyl, spec)
     lifts = {n: top}
@@ -563,8 +555,12 @@ class GradedGroupAlgebra:
     The multiplication table is exact: (X^a w)(X^b w') expands
     w X^b w^{-1} through the mod-p action matrix (linear in the lifts, a
     consequence of stability), multiplies in the truncated polynomial ring,
-    and shifts by a.  Every table entry is checked to preserve the internal
-    degree sum(a_i / p^{n_i}); elements of W sit in degree zero.
+    and shifts by a.  X^a w has index lin(a) |W| + w, lin(a) the
+    mixed-radix position of a, last exponent fastest, so a product term
+    X^(a+m) w'' has index (lin(a) + lin(m)) |W| + w'' with no lookup.  Each
+    term of each nonzero entry, the only ones stored, is checked to keep
+    the internal degree sum(a_i / p^{n_i}), as the integer weights[i] over
+    p^top, top the largest depth; elements of W sit in degree zero.
     """
 
     def __init__(self, spec: GroupSpec, weyl: WeylGroup):
@@ -574,95 +570,66 @@ class GradedGroupAlgebra:
         p = spec.p
         caps = tuple(p ** d for d in spec.depths)
         self.caps = caps
-        r = spec.rank
         exps = list(itertools.product(*(range(c) for c in caps)))
         self.basis_keys: list[tuple[tuple[int, ...], int]] = [
             (a, w) for a in exps for w in range(weyl.size)]
         self.index = {key: i for i, key in enumerate(self.basis_keys)}
         self.dim = len(self.basis_keys)
-        emax = max(d for d in spec.depths)
-        self._degrees = []
-        for a, w in self.basis_keys:
-            num = sum(ai * p ** (emax - ni) for ai, ni in zip(a, spec.depths))
-            self._degrees.append(InternalDegree(p, num, emax))
-        self.unit_index = self.index[(tuple([0] * r), 0)]
+        self.top = max(spec.depths)
+        self.weights = [sum(ai * p ** (self.top - ni) for ai, ni in zip(a, spec.depths))
+                        for a, _ in self.basis_keys]
+        self.unit_index = 0  # lin(0) |W| + the identity of W
         self._table: dict[tuple[int, int], dict[int, int]] = {}
-        self._conj_pow: dict[tuple[int, tuple[int, ...]], dict] = {}
-        self._build_table()
+        self._build_table(exps)
 
     def degree(self, i: int) -> InternalDegree:
-        return self._degrees[i]
+        return InternalDegree(self.spec.p, self.weights[i], self.top)
 
-    def _conj_power(self, w: int, b: tuple[int, ...]) -> dict:
-        """Expansion of w X^b w^{-1} in the lifted exponent ring."""
-        key = (w, b)
-        cached = self._conj_pow.get(key)
-        if cached is not None:
-            return cached
-        p = self.spec.p
-        r = self.spec.rank
-        a = self.weyl.matrix(w)
-        linear = [{tuple(int(t == k) for t in range(r)): a[k][j] % p
-                   for k in range(r) if a[k][j] % p} for j in range(r)]
-        acc = _conj_monomial(linear, b, self.caps, p)
-        self._conj_pow[key] = acc
-        return acc
-
-    def _build_table(self) -> None:
-        p = self.spec.p
-        for i, (a, w) in enumerate(self.basis_keys):
-            dega = self._degrees[i]
-            for j, (b, w2) in enumerate(self.basis_keys):
-                conj = self._conj_power(w, b)
-                w_out = self.weyl.mult(w, w2)
-                out: dict[int, int] = {}
-                for m, c in conj.items():
-                    e = tuple(x + y for x, y in zip(a, m))
-                    if any(x >= cap for x, cap in zip(e, self.caps)):
-                        continue
-                    k = self.index[(e, w_out)]
-                    out[k] = (out.get(k, 0) + c) % p
-                out = {k: c for k, c in out.items() if c}
-                want = dega + self._degrees[j]
-                for k in out:
-                    if self._degrees[k] != want:
-                        raise SpecError("multiplication is not graded; lift construction broken")
-                self._table[(i, j)] = out
+    def _build_table(self, exps: list[tuple[int, ...]]) -> None:
+        """conj[w][ib] is w X^b w^{-1} as (m, lin(m), coeff), w X_j w^{-1}
+        linear in the lifts through the action matrix mod p; the terms
+        that fit under the caps are found per (a, w, b), for every w2."""
+        p, caps, r, wt = self.spec.p, self.caps, self.spec.rank, self.weights
+        weyl, nw = self.weyl, self.weyl.size
+        strides = [math.prod(caps[t + 1:]) for t in range(r)]
+        conj = []
+        for w in range(nw):
+            mat = weyl.matrix(w)
+            linear = [{tuple(int(t == k) for t in range(r)): mat[k][j] % p
+                       for k in range(r) if mat[k][j] % p} for j in range(r)]
+            conj.append([[(m, sum(x * s for x, s in zip(m, strides)), c)
+                          for m, c in _conj_monomial(linear, b, caps, p).items()]
+                         for b in exps])
+        table = self._table
+        for ia, a in enumerate(exps):
+            room = [c - x for x, c in zip(a, caps)]
+            for w in range(nw):
+                i = ia * nw + w
+                for ib, terms in enumerate(conj[w]):
+                    want = wt[i] + wt[ib * nw]
+                    fit = []
+                    for m, lm, c in terms:
+                        if all(x < y for x, y in zip(m, room)):
+                            if wt[(ia + lm) * nw] != want:
+                                raise SpecError("multiplication is not graded; "
+                                                "lift construction broken")
+                            fit.append(((ia + lm) * nw, c))
+                    if fit:
+                        for w2 in range(nw):
+                            table[(i, ib * nw + w2)] = {k + weyl.mult(w, w2): c
+                                                        for k, c in fit}
 
     def mult(self, i: int, j: int) -> dict[int, int]:
-        return self._table[(i, j)]
-
-    def mult_vec(self, u: dict[int, int], v: dict[int, int]) -> dict[int, int]:
-        p = self.field.p
-        out: dict[int, int] = {}
-        for i, ci in u.items():
-            for j, cj in v.items():
-                vec_add_scaled(out, self._table[(i, j)], ci * cj, p)
-        return out
+        return self._table.get((i, j), {})
 
     def augmentation(self, i: int) -> int:
-        a, _ = self.basis_keys[i]
-        return 1 if not any(a) else 0
+        return int(i < self.weyl.size)  # a = 0 exactly when lin(a) = 0
 
     # reduced augmentation ideal: basis indexed by non-unit algebra basis
     # elements, where index (0, w) stands for the difference w - 1
 
     def iota_letters(self) -> list[int]:
         return [i for i in range(self.dim) if i != self.unit_index]
-
-    def _letter_vec(self, i: int) -> dict[int, int]:
-        a, w = self.basis_keys[i]
-        if not any(a) and w != 0:
-            return {i: 1, self.unit_index: self.field.p - 1}
-        return {i: 1}
-
-    def iota_product(self, i: int, j: int) -> dict[int, int]:
-        """Product of reduced-ideal basis elements, projected back to the ideal."""
-        prod = self.mult_vec(self._letter_vec(i), self._letter_vec(j))
-        eps = sum(c for k, c in prod.items() if self.augmentation(k)) % self.field.p
-        if eps:
-            raise AssertionError("product of ideal elements left the ideal")
-        return {k: c for k, c in prod.items() if k != self.unit_index}
 
     def __repr__(self) -> str:
         return f"GradedGroupAlgebra({canonical_spec(self.spec)}, dim={self.dim})"
@@ -675,8 +642,9 @@ def build_group_algebra(spec: GroupSpec | str) -> GradedGroupAlgebra:
     construction), associativity, and that the augmentation is an algebra
     map.  Associativity is proved at every dimension from the generating
     set S of degree-one lifts plus, with an action, the Weyl generator
-    (see _verify_algebra), at about 2 dim^2 |S| products instead of one
-    per basis triple.
+    (see _verify_algebra), at two products per basis triple (i, j, s), s in
+    S, whose sides are not both zero on sight: between 2 |S| times the
+    nonzero entries and 2 dim^2 |S|, plus at most dim |S| for the span.
     """
     if isinstance(spec, str):
         spec = parse_group_spec(spec)
@@ -689,6 +657,17 @@ def build_group_algebra(spec: GroupSpec | str) -> GradedGroupAlgebra:
     alg = GradedGroupAlgebra(spec, weyl)
     _verify_algebra(alg)
     return alg
+
+
+def _product(vec: dict[int, int], images: dict[int, dict[int, int]],
+             p: int) -> dict[int, int]:
+    """vec times x, given images[k] = e_k x (x times vec, given x e_k)."""
+    out: dict[int, int] = {}
+    for k, c in vec.items():
+        image = images.get(k)
+        if image:
+            vec_add_scaled(out, image, c, p)
+    return out
 
 
 def _verify_algebra(alg: GradedGroupAlgebra) -> None:
@@ -704,38 +683,54 @@ def _verify_algebra(alg: GradedGroupAlgebra) -> None:
     close the unit under right multiplication by S until the span reaches
     rank dim, then check (e_i e_j)s = e_i(e_j s) for all s in S and all
     basis i, j, which by bilinearity puts S in C.
+
+    Every check reads the nonzero entries of the table under check, so a
+    corrupted entry is read like any other.  For each (j, s) only the rows
+    i with e_i e_j != 0, or e_i e_k != 0 for some k in e_j s, are visited:
+    for any other i, (e_i e_j)s = 0 = sum_k c_k e_i e_k = e_i(e_j s).  A
+    zero product has augmentation 0, so the augmentation is checked on the
+    nonzero entries and on the pairs of elements of W.
     """
-    n = alg.dim
+    n, p = alg.dim, alg.field.p
     u = alg.unit_index
-    for i in range(n):
-        if alg.mult(u, i) != {i: 1} or alg.mult(i, u) != {i: 1}:
-            raise SpecError("unit element fails")
+    rows: list[dict[int, dict[int, int]]] = [{} for _ in range(n)]  # e_i e_j
+    cols: list[list[int]] = [[] for _ in range(n)]  # i with e_i e_j != 0
+    for (i, j), v in alg._table.items():
+        if v:
+            rows[i][j] = v
+            cols[j].append(i)
+    if any(rows[u].get(i) != {i: 1} or rows[i].get(u) != {i: 1} for i in range(n)):
+        raise SpecError("unit element fails")
     r = alg.spec.rank
     gens = [alg.index[(tuple(int(t == i) for t in range(r)), 0)] for i in range(r)]
     if alg.weyl.size > 1:
         gens.append(alg.index[(tuple([0] * r), 1)])
+    right = {s: {k: rows[k][s] for k in cols[s]} for s in gens}  # e_k s
     elim = Eliminator(alg.field)
     elim.add_row({u: 1})
     frontier = [{u: 1}]
     while frontier and elim.rank < n:
         v = frontier.pop()
         for s in gens:
-            vs = alg.mult_vec(v, {s: 1})
+            vs = _product(v, right[s], p)
             if elim.add_row(vs) is not None:
                 frontier.append(vs)
     if elim.rank < n:
         raise SpecError("generators do not span the algebra")
-    for i in range(n):
+    for s in gens:
         for j in range(n):
-            ij = alg.mult(i, j)
-            for s in gens:
-                if alg.mult_vec(ij, {s: 1}) != alg.mult_vec({i: 1}, alg.mult(j, s)):
+            js = rows[j].get(s, {})
+            visit = set(cols[j])
+            for k in js:
+                visit.update(cols[k])
+            for i in visit:
+                if _product(rows[i].get(j, {}), right[s], p) != _product(js, rows[i], p):
                     raise SpecError(f"associativity fails on basis triple {(i, j, s)}")
-    p = alg.field.p
+    aug = [alg.augmentation(k) for k in range(n)]
     for i in range(n):
-        for j in range(n):
-            eps = sum(c for k, c in alg.mult(i, j).items() if alg.augmentation(k)) % p
-            if eps != (alg.augmentation(i) * alg.augmentation(j)) % p:
+        for j in set(rows[i]).union(range(alg.weyl.size) if aug[i] else ()):
+            eps = sum(c for k, c in rows[i].get(j, {}).items() if aug[k]) % p
+            if eps != aug[i] * aug[j]:
                 raise SpecError("augmentation is not an algebra map")
 
 
@@ -749,13 +744,6 @@ class AlgebraMap:
         self.source = source
         self.target = target
         self.columns = columns  # source index -> {target index: coeff}
-
-    def apply(self, v: dict[int, int]) -> dict[int, int]:
-        p = self.target.field.p
-        out: dict[int, int] = {}
-        for i, c in v.items():
-            vec_add_scaled(out, self.columns[i], c, p)
-        return out
 
 
 def power_inclusion(lower: GradedGroupAlgebra, higher: GradedGroupAlgebra) -> AlgebraMap:
@@ -777,19 +765,14 @@ def power_inclusion(lower: GradedGroupAlgebra, higher: GradedGroupAlgebra) -> Al
             != (hs.weyl.kind, hs.weyl.k, hs.weyl.matrix):
         raise SpecError("power inclusion needs identical weyl descriptions")
     p = ls.p
-    columns = {}
-    for i, (a, w) in enumerate(lower.basis_keys):
-        target_key = (tuple(p * x for x in a), w)
-        j = higher.index[target_key]
-        if higher.degree(j) != lower.degree(i):
-            raise SpecError("power inclusion broke internal degrees")
-        columns[i] = {j: 1}
-    fmap = AlgebraMap(lower, higher, columns)
+    image = [higher.index[(tuple(p * x for x in a), w)] for a, w in lower.basis_keys]
+    if any(higher.degree(j) != lower.degree(i) for i, j in enumerate(image)):
+        raise SpecError("power inclusion broke internal degrees")
+    fmap = AlgebraMap(lower, higher, {i: {j: 1} for i, j in enumerate(image)})
     for i in range(lower.dim):
         for j in range(lower.dim):
-            left = fmap.apply(lower.mult(i, j))
-            right = higher.mult_vec(fmap.apply({i: 1}), fmap.apply({j: 1}))
-            if left != right:
+            prod = {image[k]: c for k, c in lower.mult(i, j).items()}
+            if prod != higher.mult(image[i], image[j]):
                 raise SpecError("power inclusion is not multiplicative; "
                                 "splitting consistency broken")
     return fmap

@@ -2,6 +2,7 @@ import collections
 import functools
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -14,6 +15,7 @@ from ainfbar.groups import AlgebraMap, build_group_algebra, power_inclusion
 from ainfbar.linalg import Eliminator, rref_rows, vec_add_scaled
 from ainfbar.transfer import transfer
 from packed import pack, pack_cochain, unpack, unpack_cochain
+from reference import reference_comult
 
 
 @pytest.mark.parametrize("spec,cap", [
@@ -503,6 +505,19 @@ def test_block_basis_raises_when_the_kernels_run_out(monkeypatch):
         BlockBasis(bar, n, s)
 
 
+def test_block_basis_checks_its_pivot_words_against_the_rank(monkeypatch):
+    # rank(n - 1, s) one too high: the block below seems to have one more
+    # boundary than the pivot words it gives
+    bar = build_bar(build_group_algebra("cyclic(3^2)"), 5)
+    n, s = next((n, s) for n in range(1, bar.cap) for s in bar.dims(n)
+                if bar.pivots(n - 1, s))
+    rank = bar.rank
+    monkeypatch.setattr(bar, "rank",
+                        lambda m, t: rank(m, t) + ((m, t) == (n - 1, s)))
+    with pytest.raises(AssertionError, match=re.escape(f"block ({n}, {s})")):
+        BlockBasis(bar, n, s)
+
+
 def test_block_bases_build_few_rows(monkeypatch):
     # the Z/9 op table to arity 3, degree 5 builds 11,033 rows when every
     # basis eliminates its own block in full.  A basis of a block without
@@ -577,15 +592,6 @@ def test_word_enumeration_matches_internal_degree_reference(bar):
         assert got == list(refs.items()), n
         for s, words in refs.items():
             assert all(word_degree(bar, w) == s for w in words)
-
-
-def reference_comult(bar):
-    comult = {u: [] for u in bar.letters}
-    for a in bar.letters:
-        for b in bar.letters:
-            for u, c in bar.algebra.iota_product(a, b).items():
-                comult[u].append((a, b, c))
-    return comult
 
 
 def reference_d_row(bar, comult, word):

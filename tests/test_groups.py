@@ -7,12 +7,18 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ainfbar import groups
+from ainfbar.bar import build_bar
 from ainfbar.grading import InternalDegree
 from ainfbar.groups import (
     GradedGroupAlgebra, GroupSpec, SpecError, WeylSpec, _verify_algebra,
     build_group_algebra, canonical_spec, equivariant_splitting,
     parse_group_spec, poly_mul, poly_pow, power_inclusion, realize_weyl,
     validate_spec,
+)
+
+from reference import (
+    reference_comult, reference_iota_product, reference_product, reference_table,
 )
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
@@ -293,11 +299,42 @@ def test_iota_products_stay_in_ideal():
     assert len(letters) == 5
     w = alg.index[((0,), 1)]
     # (w - 1)(w - 1) = w^2 - 2w + 1 = 2 - 2w = -2(w - 1) = (w - 1) mod 3
-    assert alg.iota_product(w, w) == {w: 1}
+    assert reference_iota_product(alg, w, w) == {w: 1}
     for i in letters:
         for j in letters:
-            out = alg.iota_product(i, j)
+            out = reference_iota_product(alg, i, j)
             assert alg.unit_index not in out
+
+
+def test_ungraded_conjugation_is_rejected(monkeypatch):
+    # one extra term X^2 in the expansion of w X w^-1: weight 2/3, not 1/3
+    real = groups._conj_monomial
+
+    def corrupted(images, exp, caps, p):
+        out = real(images, exp, caps, p)
+        return {**out, (2,): 1} if exp == (1,) else out
+
+    monkeypatch.setattr(groups, "_conj_monomial", corrupted)
+    with pytest.raises(SpecError, match="multiplication is not graded"):
+        build_group_algebra("cyclic(3^1)")
+
+
+def test_augmentation_that_is_not_an_algebra_map_is_rejected():
+    # X^2 = 1 on cyclic(2^1) is the group algebra in the group basis:
+    # associative and spanned by X, but X is no longer in the ideal
+    alg = build_group_algebra("cyclic(2^1)")
+    x = alg.index[((1,), 0)]
+    alg._table[(x, x)] = {alg.unit_index: 1}
+    with pytest.raises(SpecError, match="augmentation is not an algebra map"):
+        _verify_algebra(alg)
+
+
+def test_ideal_products_that_leave_the_ideal_are_rejected():
+    alg = build_group_algebra("cyclic(2^1)")
+    x = alg.index[((1,), 0)]
+    alg._table[(x, x)] = {alg.unit_index: 1}
+    with pytest.raises(AssertionError, match="left the ideal"):
+        build_bar(alg, 2)
 
 
 # -- the associativity proof on generators ------------------------------------------
@@ -314,7 +351,8 @@ ORACLE_SPECS = [
 def brute_force_failing_triple(alg):
     """First basis triple (i, j, k) with (e_i e_j) e_k != e_i (e_j e_k)."""
     for i, j, k in itertools.product(range(alg.dim), repeat=3):
-        if alg.mult_vec(alg.mult(i, j), {k: 1}) != alg.mult_vec({i: 1}, alg.mult(j, k)):
+        if reference_product(alg, alg.mult(i, j), {k: 1}) \
+                != reference_product(alg, {i: 1}, alg.mult(j, k)):
             return i, j, k
     return None
 
@@ -324,6 +362,23 @@ def test_uncorrupted_tables_pass_both_checks(text):
     alg = build_group_algebra(text)
     assert brute_force_failing_triple(alg) is None
     _verify_algebra(alg)
+
+
+# mixed depths over p = 3, a non-monomial action at depth 2, and the
+# 162-dim algebra of the restriction bench
+@pytest.mark.parametrize("text", ORACLE_SPECS + [
+    "cyclic(3^1) x cyclic(3^2)", "semidirect(torus(2,2,2), Z3:[[0,3],[1,3]])",
+    "semidirect(torus(3,2,2), inversion)"])
+def test_table_and_comultiplication_match_the_pair_by_pair_reference(text):
+    alg = build_group_algebra(text)
+    assert alg._table == reference_table(alg)
+    bar = build_bar(alg, 1)
+    bits, mask = bar.bits, (1 << bar.bits) - 1
+    minus, plus = bar._comult
+    assert {u: [(ab >> bits, ab & mask, c) for ab, c in pairs]
+            for u, pairs in plus.items()} == reference_comult(bar)
+    p = alg.field.p
+    assert minus == {u: [(ab, p - c) for ab, c in pairs] for u, pairs in plus.items()}
 
 
 @settings(max_examples=60, deadline=None)
@@ -361,14 +416,21 @@ def test_generators_that_do_not_span_are_rejected():
 
 
 def test_verify_makes_dim2_times_generators_products(monkeypatch):
+    # _product is every product _verify_algebra forms: two per visited
+    # triple (i, j, s), and at most dim |S| for the span.  On cyclic(2^6),
+    # with S the one lift X, the rows visited for (j, X) are exactly those
+    # with X^i X^j != 0, since X^i X^(j+1) != 0 implies it
     calls = []
-    real = GradedGroupAlgebra.mult_vec
+    real = groups._product
 
-    def counted(self, u, v):
+    def counted(vec, images, p):
         calls.append(1)
-        return real(self, u, v)
+        return real(vec, images, p)
 
-    monkeypatch.setattr(GradedGroupAlgebra, "mult_vec", counted)
+    monkeypatch.setattr(groups, "_product", counted)
     alg = build_group_algebra("cyclic(2^6)")
-    n, s = alg.dim, alg.spec.rank  # S is the one degree-one lift
-    assert 0 < len(calls) <= 2 * n * n * s + n * s
+    n, s = alg.dim, alg.spec.rank
+    nonzero = sum(1 for v in alg._table.values() if v)
+    assert nonzero == n * (n + 1) // 2
+    assert 2 * nonzero * s <= len(calls) <= 2 * nonzero * s + n * s
+    assert len(calls) <= 2 * n * n * s + n * s
