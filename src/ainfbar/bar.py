@@ -40,19 +40,17 @@ words (pivots), cached when a stream runs to its end.  A stopped stream
 caches nothing, so a block with classes may be eliminated twice, once for
 its representatives and once for the pivot words the block above reads.
 
-Letters are numbered in the algebra's basis order, (a, w) for X^a w, and
-that order serves everything that chooses words: blocks, pivot words
-and kernels, BlockBasis representatives.  rank alone relabels the
-letters in Weyl-major order, (w, a), through its own packed
-comultiplication table; a rank does not depend on the order of the words,
-and the relabelled elimination needs far fewer reductions (see rank).
-rank(n, s) reads the pivot leads of rank(n - 1, s), the smallest words of
-the boundaries in the block, and skips those source words: the others
-span a complement of the boundaries, which d kills, so the rank is the
-same.  rank reads most leads off the words themselves: when the first
-letter's lex-smallest pair [a|b] has a < u_1, the lead of d[u_1|..|u_n]
-is [a|b|u_2|..|u_n], and the word's row is built only when a reduction
-first reads that pivot.
+Letters are numbered in the algebra's basis order, Weyl-major: X^a w is
+w |T| + lin(a), so the letters X^a come first and every letter w - 1
+after them (see rank).  One packed comultiplication table in that order
+serves everything: blocks, ranks, pivot words and kernels, BlockBasis
+representatives.  rank(n, s) reads the pivot leads of rank(n - 1, s),
+the smallest words of the boundaries in the block, and skips those
+source words: the others span a complement of the boundaries, which d
+kills, so the rank is the same.  rank reads most leads off the words
+themselves: when the first letter's lex-smallest pair [a|b] has
+a < u_1, the lead of d[u_1|..|u_n] is [a|b|u_2|..|u_n], and the word's
+row is built only when a reduction first reads that pivot.
 """
 
 from __future__ import annotations
@@ -91,32 +89,16 @@ class BarComplex:
         self.cap = cap
         self.letters = algebra.iota_letters()
         self.letter_wt = algebra.weights
+        # the budget bounds the words blocks enumerates, lengths below cap
         total = 0
         nletters = len(self.letters)
-        for n in range(cap + 1):
+        for n in range(cap):
             total += nletters ** n
             if total > budget:
                 raise BudgetExceededError(n, total, budget)
         self.bits = algebra.dim.bit_length()
         self._comult = self._build_comult()
-        # rank's letter labels and table: Weyl-major, or None and the basis
-        # order when there are no Weyl letters
-        self._rank_label: Optional[list[int]] = None
-        self._rank_comult = self._comult
-        if algebra.weyl.size > 1:
-            order = sorted(self.letters,
-                           key=lambda u: algebra.basis_keys[u][::-1])
-            label = [0] * algebra.dim
-            for k, u in enumerate(order, 1):
-                label[u] = k
-            mask = (1 << self.bits) - 1
-            self._rank_label = label
-            self._rank_comult = tuple(
-                {label[u]: [((label[ab >> self.bits] << self.bits)
-                             | label[ab & mask], c) for ab, c in pairs]
-                 for u, pairs in table.items()}
-                for table in self._comult)
-        self._rank_heads = self._lead_pairs(self._rank_comult)
+        self._heads = self._lead_pairs()
         self._blocks: dict[int, dict[InternalDegree, list[int]]] = {}
         self._ranks: dict[tuple[int, InternalDegree], int] = {}
         # pivot leads of rank(n, s), kept for rank(n + 1, s) to pop
@@ -153,26 +135,25 @@ class BarComplex:
                  for u, pairs in plus.items()}
         return minus, plus
 
-    def _lead_pairs(self, comult: tuple[dict, dict]) -> list[int]:
-        """Per letter u of a comultiplication table, the code of its
-        lex-smallest pair [a|b] when a < u, else 0; indexed by letter."""
+    def _lead_pairs(self) -> list[int]:
+        """Per letter u, the code of its lex-smallest pair [a|b] in the
+        comultiplication table when a < u, else 0; indexed by letter."""
         heads = [0] * self.algebra.dim
-        for u, pairs in comult[0].items():
+        for u, pairs in self._comult[0].items():
             if pairs:
                 ab = min(ab for ab, _ in pairs)
                 if ab >> self.bits < u:
                     heads[u] = ab
         return heads
 
-    def _word_lead(self, code: int, n: int, heads: list[int]
-                   ) -> Optional[int]:
+    def _word_lead(self, code: int, n: int) -> Optional[int]:
         """Smallest target of d of the word of length n, read off its
-        first letter through heads = _lead_pairs(table), or None when that
-        letter does not settle it (see rank)."""
+        first letter through _lead_pairs, or None when that letter does
+        not settle it (see rank)."""
         if n == 0:
             return None
         shift = self.bits * (n - 1)
-        ab = heads[code >> shift]
+        ab = self._heads[code >> shift]
         if not ab:
             return None
         return (ab << shift) | (code & ((1 << shift) - 1))
@@ -185,8 +166,9 @@ class BarComplex:
         cached = self._blocks.get(n)
         if cached is not None:
             return cached
-        if n > self.cap:
-            raise ValueError(f"degree {n} beyond cap {self.cap}")
+        if n >= self.cap:
+            raise ValueError(f"degree {n} beyond the words built, "
+                             f"lengths 0..{self.cap - 1}")
         bits = self.bits
         pairs = [(u, self.letter_wt[u]) for u in self.letters]
         prefixes = [(0, 0)]
@@ -218,13 +200,12 @@ class BarComplex:
         word.reverse()
         return word
 
-    def _d_packed(self, code: int, n: int, comult: tuple[dict, dict]
-                  ) -> dict[int, int]:
+    def _d_packed(self, code: int, n: int) -> dict[int, int]:
         """Differential of the packed word of length n, as a dict over
         packed words of length n + 1.  Position i (from 0) carries the
         sign (-1)^(i+1); the letter there is split into every pair [a|b]
-        of the comultiplication table comult, in table order."""
-        p, bits = self.field.p, self.bits
+        of the comultiplication table, in table order."""
+        p, bits, comult = self.field.p, self.bits, self._comult
         mask = (1 << bits) - 1
         out: dict[int, int] = {}
         get = out.get
@@ -247,7 +228,7 @@ class BarComplex:
         out: dict[int, int] = {}
         for w, c in cochain.items():
             n = -(-w.bit_length() // self.bits)
-            row = self._d_packed(w, n, self._comult)
+            row = self._d_packed(w, n)
             vec_add_scaled(out, row, c, self.field.p)
         return out
 
@@ -271,23 +252,17 @@ class BarComplex:
         elimination near-triangular.  Rows are keyed by target codes,
         whose order is the lex order of the words.
 
-        With Weyl letters, the words are first recoded in Weyl-major letter
-        order (w, a).  In the basis order, X^a and X^a w are neighbours,
-        and since a product with a Weyl letter w - 1 lands on both X^a and
-        X^a w, the lex-smallest target of d[X^a|rest] and of
-        d[X^a w|rest] is the same word [w - 1|X^a|rest]: half of all rows
-        arrive on an occupied lead.  Weyl-major order puts the letters
-        w - 1 after every X^a, and the leads part.  Relabelling letters
-        is an isomorphism of the complex that keeps every letter weight,
-        so each block keeps its rank.  Over the blocks of
-        semidirect(torus(3,1,2), inversion) at bar cap 5, 44,368 of
-        88,808 rows need a reduction in basis order and 7,506 in
-        Weyl-major order; skipping the boundary leads, as below, leaves
-        2,582.
+        The letter order matters for the cost, not for the rank.  Were
+        X^a and X^a w neighbours, then, since a product with a Weyl letter
+        w - 1 lands on both X^a and X^a w, the lex-smallest target of
+        d[X^a|rest] and of d[X^a w|rest] would be the same word
+        [w - 1|X^a|rest], and half of all rows would arrive on an occupied
+        lead.  The Weyl-major basis puts the letters w - 1 after every X^a,
+        and the leads part.
 
         Only a complement of the boundaries is fed.  rank(n - 1, s) ends
         with its pivot leads L, the lex-smallest words of the boundaries
-        B = d(block (n - 1, s)) in rank's letter order: every nonzero
+        B = d(block (n - 1, s)) in lex order: every nonzero
         boundary has its smallest word in L, and |L| = dim B.  So no
         nonzero boundary lies in the span of the words not in L, whose
         dimension is |block| - dim B: the block is the direct sum
@@ -324,30 +299,14 @@ class BarComplex:
         if n > 0 and s in self.blocks(n - 1):
             self.rank(n - 1, s)
         leads = self._leads.pop((n - 1, s), ())
-        codes = self.blocks(n).get(s, [])
-        label = self._rank_label
-        if label is not None:
-            bits = self.bits
-            mask = (1 << bits) - 1
-            recoded = []
-            for code in codes:
-                out, shift = 0, 0
-                while code:
-                    out |= label[code & mask] << shift
-                    code >>= bits
-                    shift += bits
-                recoded.append(out)
-            codes = sorted(recoded)
         elim = Eliminator(self.field)
-        comult, heads = self._rank_comult, self._rank_heads
-        pivots = elim.pivots = _PivotRows(
-            lambda code: self._d_packed(code, n, comult))
-        for code in reversed(codes):
+        pivots = elim.pivots = _PivotRows(lambda code: self._d_packed(code, n))
+        for code in reversed(self.blocks(n).get(s, [])):
             if code in leads:
                 continue
-            lead = self._word_lead(code, n, heads)
+            lead = self._word_lead(code, n)
             if lead is None or lead in pivots:
-                elim._insert(self._d_packed(code, n, comult))
+                elim._insert(self._d_packed(code, n))
             else:
                 pivots[lead] = code
         if elim.pivots and n + 1 < self.cap:
@@ -402,7 +361,7 @@ class BarComplex:
             raise ValueError("kernels need the target degree within the cap")
         pivots: list[int] = []
         yield from column_echelon(
-            Eliminator(self.field), ((w, self._d_packed(w, n, self._comult))
+            Eliminator(self.field), ((w, self._d_packed(w, n))
                                      for w in self.blocks(n).get(s, [])),
             pivots)
         self._pivots[(n, s)] = pivots
@@ -493,7 +452,7 @@ class BlockBasis:
         if n > 0 and len(self.b_words) != bar.rank(n - 1, s):
             raise AssertionError(f"block ({n}, {s}): {len(self.b_words)} pivot "
                                  f"words below, rank {bar.rank(n - 1, s)}")
-        images = [bar._d_packed(w, n - 1, bar._comult) for w in self.b_words]
+        images = [bar._d_packed(w, n - 1) for w in self.b_words]
         dim = len(bar.blocks(n).get(s, []))
         classes = dim - bar.rank(n, s) - len(self.b_words)
         self.reps: list[dict] = []
@@ -674,8 +633,7 @@ class Restriction:
         length >= 2 is a letter followed by a shorter word.
         """
         for u in self.high.letters:
-            lhs = self._apply_to_cochain(
-                self.high._d_packed(u, 1, self.high._comult))
+            lhs = self._apply_to_cochain(self.high._d_packed(u, 1))
             if lhs != self.low.d_cochain(self.cochain_image(u)):
                 raise AssertionError(
                     f"restriction does not commute with d on letter {u}")

@@ -555,9 +555,11 @@ class GradedGroupAlgebra:
     The multiplication table is exact: (X^a w)(X^b w') expands
     w X^b w^{-1} through the mod-p action matrix (linear in the lifts, a
     consequence of stability), multiplies in the truncated polynomial ring,
-    and shifts by a.  X^a w has index lin(a) |W| + w, lin(a) the
-    mixed-radix position of a, last exponent fastest, so a product term
-    X^(a+m) w'' has index (lin(a) + lin(m)) |W| + w'' with no lookup.  Each
+    and shifts by a.  The basis is Weyl-major: X^a w has index
+    w |T| + lin(a), |T| = torus_dim the number of exponent vectors a and
+    lin(a) the mixed-radix position of a, last exponent fastest, so a
+    product term X^(a+m) w'' has index w'' |T| + lin(a) + lin(m) with no
+    lookup, and F_p[T] is the first |T| indices.  Each
     term of each nonzero entry, the only ones stored, is checked to keep
     the internal degree sum(a_i / p^{n_i}), as the integer weights[i] over
     p^top, top the largest depth; elements of W sit in degree zero.
@@ -571,14 +573,15 @@ class GradedGroupAlgebra:
         caps = tuple(p ** d for d in spec.depths)
         self.caps = caps
         exps = list(itertools.product(*(range(c) for c in caps)))
+        self.torus_dim = len(exps)
         self.basis_keys: list[tuple[tuple[int, ...], int]] = [
-            (a, w) for a in exps for w in range(weyl.size)]
+            (a, w) for w in range(weyl.size) for a in exps]
         self.index = {key: i for i, key in enumerate(self.basis_keys)}
         self.dim = len(self.basis_keys)
         self.top = max(spec.depths)
         self.weights = [sum(ai * p ** (self.top - ni) for ai, ni in zip(a, spec.depths))
                         for a, _ in self.basis_keys]
-        self.unit_index = 0  # lin(0) |W| + the identity of W
+        self.unit_index = 0  # X^0 times the identity of W
         self._table: dict[tuple[int, int], dict[int, int]] = {}
         self._build_table(exps)
 
@@ -588,9 +591,11 @@ class GradedGroupAlgebra:
     def _build_table(self, exps: list[tuple[int, ...]]) -> None:
         """conj[w][ib] is w X^b w^{-1} as (m, lin(m), coeff), w X_j w^{-1}
         linear in the lifts through the action matrix mod p; the terms
-        that fit under the caps are found per (a, w, b), for every w2."""
+        that fit under the caps are found per (a, w, b), for every w2.
+        (X^a w)(X^b w2) has its terms X^(a+m) (w w2) at
+        (w w2) |T| + lin(a) + lin(m)."""
         p, caps, r, wt = self.spec.p, self.caps, self.spec.rank, self.weights
-        weyl, nw = self.weyl, self.weyl.size
+        weyl, nw, nt = self.weyl, self.weyl.size, self.torus_dim
         strides = [math.prod(caps[t + 1:]) for t in range(r)]
         conj = []
         for w in range(nw):
@@ -604,26 +609,27 @@ class GradedGroupAlgebra:
         for ia, a in enumerate(exps):
             room = [c - x for x, c in zip(a, caps)]
             for w in range(nw):
-                i = ia * nw + w
+                i = w * nt + ia
                 for ib, terms in enumerate(conj[w]):
-                    want = wt[i] + wt[ib * nw]
+                    want = wt[ia] + wt[ib]
                     fit = []
                     for m, lm, c in terms:
                         if all(x < y for x, y in zip(m, room)):
-                            if wt[(ia + lm) * nw] != want:
+                            if wt[ia + lm] != want:
                                 raise SpecError("multiplication is not graded; "
                                                 "lift construction broken")
-                            fit.append(((ia + lm) * nw, c))
+                            fit.append((ia + lm, c))
                     if fit:
                         for w2 in range(nw):
-                            table[(i, ib * nw + w2)] = {k + weyl.mult(w, w2): c
+                            shift = weyl.mult(w, w2) * nt
+                            table[(i, w2 * nt + ib)] = {shift + k: c
                                                         for k, c in fit}
 
     def mult(self, i: int, j: int) -> dict[int, int]:
         return self._table.get((i, j), {})
 
     def augmentation(self, i: int) -> int:
-        return int(i < self.weyl.size)  # a = 0 exactly when lin(a) = 0
+        return int(i % self.torus_dim == 0)  # a = 0 exactly when lin(a) = 0
 
     # reduced augmentation ideal: basis indexed by non-unit algebra basis
     # elements, where index (0, w) stands for the difference w - 1
@@ -728,7 +734,7 @@ def _verify_algebra(alg: GradedGroupAlgebra) -> None:
                     raise SpecError(f"associativity fails on basis triple {(i, j, s)}")
     aug = [alg.augmentation(k) for k in range(n)]
     for i in range(n):
-        for j in set(rows[i]).union(range(alg.weyl.size) if aug[i] else ()):
+        for j in set(rows[i]).union(range(0, n, alg.torus_dim) if aug[i] else ()):
             eps = sum(c for k, c in rows[i].get(j, {}).items() if aug[k]) % p
             if eps != aug[i] * aug[j]:
                 raise SpecError("augmentation is not an algebra map")

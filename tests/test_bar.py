@@ -292,11 +292,13 @@ def reference_column_echelon(field, columns, height):
 @settings(max_examples=25, deadline=None)
 @given(small_bars())
 def test_struct_matches_the_position_indexed_reference(bar):
+    # the target blocks of the top length come from a bar one cap higher
+    above = build_bar(bar.algebra, bar.cap + 1)
     for n in range(bar.cap):
         for s, words in bar.blocks(n).items():
-            images = [in_positions(bar, n + 1, s, bar.d_cochain({w: 1}))
+            images = [in_positions(above, n + 1, s, bar.d_cochain({w: 1}))
                       for w in words]
-            height = len(bar.blocks(n + 1).get(s, []))
+            height = len(above.blocks(n + 1).get(s, []))
             pivots, kernels = reference_column_echelon(bar.field, images, height)
             pivot_words, got = struct(bar, n, s)
             assert pivot_words == [words[j] for j in pivots]
@@ -312,10 +314,12 @@ def random_cochain(rng, bar, words):
 @settings(max_examples=25, deadline=None)
 @given(small_bars(), st.integers(0, 2 ** 32))
 def test_concat_and_cochain_block_agree_with_tuple_words(bar, seed):
+    # words up to the drawn cap, from a bar one cap higher
+    bar = build_bar(bar.algebra, bar.cap + 1)
     rng = random.Random(seed)
     p = bar.field.p
     assert min(bar.letters) >= 1
-    keys = [(n, s) for n in range(bar.cap + 1) for s in bar.blocks(n)]
+    keys = [(n, s) for n in range(bar.cap) for s in bar.blocks(n)]
     assert bar.blocks(0) == {internal_zero(p): [0]}
     for n, s in keys:
         words = bar.blocks(n)[s]
@@ -585,7 +589,12 @@ def reference_blocks(bar, n):
 @settings(max_examples=30, deadline=None)
 @given(enumeration_bars())
 def test_word_enumeration_matches_internal_degree_reference(bar):
-    for n in range(bar.cap + 1):
+    # no word of length cap is built; the drawn cap's length comes from a
+    # bar one cap higher
+    with pytest.raises(ValueError, match="beyond the words built"):
+        bar.blocks(bar.cap)
+    bar = build_bar(bar.algebra, bar.cap + 1)
+    for n in range(bar.cap):
         refs = reference_blocks(bar, n)
         got = [(s, [unpack(bar, w) for w in words])
                for s, words in bar.blocks(n).items()]
@@ -613,15 +622,17 @@ def reference_d_row(bar, comult, word):
 
 @settings(max_examples=30, deadline=None)
 @given(enumeration_bars())
-# rank recodes words with Weyl letters in Weyl-major order; these two pin
-# blocks of length 2 and 3 that hold them, which random draws may miss
+# these two pin blocks of length 2 and 3 that hold Weyl letters, which
+# random draws may miss
 @example(build_bar(cached_algebra("semidirect(cyclic(3^1), inversion)"), 4))
 @example(build_bar(cached_algebra(
     "semidirect(cyclic(2^1) x cyclic(2^1), Z3:[[0,1],[1,1]])"), 3))
 def test_packed_differential_matches_tuple_expansion(bar):
     comult = reference_comult(bar)
+    # words of length cap come from a bar one cap higher
+    above = build_bar(bar.algebra, bar.cap + 1)
     for n in range(min(bar.cap, 3) + 1):
-        for s, codes in bar.blocks(n).items():
+        for s, codes in above.blocks(n).items():
             assert codes == sorted(set(codes))
             words = [unpack(bar, c) for c in codes]
             assert [pack(bar, w) for w in words] == codes
@@ -637,10 +648,12 @@ def test_packed_differential_matches_tuple_expansion(bar):
 
 
 def test_weyl_major_rank_needs_few_reductions(monkeypatch):
-    # in basis order d[X^a|rest] and d[X^a w|rest] share their lead target
-    # [w - 1|X^a|rest], and 2,608 rows need a reduction here; Weyl-major
-    # order feeding every word needs 443, and skipping the boundary leads
-    # of the block below 156
+    # with the letters a-major, X^a and X^a w neighbours, d[X^a|rest] and
+    # d[X^a w|rest] share their lead target [w - 1|X^a|rest], and 2,608
+    # rows need a reduction here (44,368 of 88,808 over the blocks at bar
+    # cap 5); the Weyl-major basis feeding every word needs 443 (7,506 at
+    # cap 5), and skipping the boundary leads of the block below 156
+    # (2,582 at cap 5)
     bar = build_bar(build_group_algebra("semidirect(torus(3,1,2), inversion)"), 4)
     calls = []
     reduce = Eliminator._reduce
@@ -718,25 +731,36 @@ def cached_bar(spec):
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from(["cyclic(3^2)", "semidirect(torus(3,1,2), inversion)",
                         "semidirect(cyclic(3^1), inversion)"]),
-       st.booleans(), st.integers(1, 5), st.integers(0, 2 ** 32))
-def test_word_lead_is_the_smallest_target(spec, weyl_major, n, seed):
-    # every first letter is tried on one random tail, in either table: a
-    # lead read off the word is the row's smallest target, and the
-    # smallest letter, with no pair below it, always falls back
+       st.integers(1, 5), st.integers(0, 2 ** 32))
+def test_word_lead_is_the_smallest_target(spec, n, seed):
+    # every first letter is tried on one random tail: a lead read off the
+    # word is the row's smallest target, and the smallest letter, with no
+    # pair below it, always falls back
     bar = cached_bar(spec)
-    table = bar._rank_comult if weyl_major else bar._comult
-    heads = bar._lead_pairs(table)
-    assert bar._word_lead(0, 0, heads) is None
+    assert bar._word_lead(0, 0) is None
     rng = random.Random(seed)
     tail = [rng.choice(bar.letters) for _ in range(n - 1)]
     read = []
     for u in bar.letters:
         code = pack(bar, [u] + tail)
-        lead = bar._word_lead(code, n, heads)
+        lead = bar._word_lead(code, n)
         if lead is not None:
-            assert lead == min(bar._d_packed(code, n, table))
+            assert lead == min(bar._d_packed(code, n))
             read.append(u)
     assert read and min(bar.letters) not in read
+
+
+@pytest.mark.parametrize("spec,count", [
+    ("semidirect(cyclic(3^1), inversion)", 3),
+    ("semidirect(torus(3,1,2), inversion)", 14),
+    ("semidirect(cyclic(3^2), inversion)", 15),
+    ("semidirect(torus(2,1,2), Z3:[[0,1],[1,1]])", 8),
+])
+def test_weyl_major_lead_pairs_are_distinct(spec, count):
+    # in the Weyl-major basis no two letters read the same lead pair, so
+    # words that differ only in their first letter read distinct leads
+    heads = [ab for ab in cached_bar(spec)._heads if ab]
+    assert len(heads) == len(set(heads)) == count
 
 
 @pytest.mark.parametrize("spec,cap,bound", [
@@ -757,22 +781,46 @@ def test_rank_builds_few_rows(monkeypatch, spec, cap, bound):
     assert len(calls) <= bound
 
 
-@pytest.mark.parametrize("spec,basis_order", [
+def relabel_a_major(bar):
+    """Renumber the letters of a fresh bar of a semidirect algebra so that
+    X^a w is lin(a) |W| + w, the exponent vector outside the Weyl element:
+    the comultiplication table and the letter weights are permuted, and
+    the lead pairs recomputed.  A relabelling keeps every letter weight,
+    so it is an isomorphism of the complex and keeps every rank."""
+    alg = bar.algebra
+    nt, nw, bits = alg.torus_dim, alg.weyl.size, bar.bits
+    label = [(u % nt) * nw + u // nt for u in range(alg.dim)]
+    mask = (1 << bits) - 1
+    bar._comult = tuple(
+        {label[u]: [((label[ab >> bits] << bits) | label[ab & mask], c)
+                    for ab, c in pairs] for u, pairs in table.items()}
+        for table in bar._comult)
+    weights = [0] * alg.dim
+    for u, wt in enumerate(bar.letter_wt):
+        weights[label[u]] = wt
+    bar.letter_wt = weights
+    bar._heads = bar._lead_pairs()
+
+
+@pytest.mark.parametrize("spec,a_major", [
     ("semidirect(cyclic(3^1), inversion)", False),
     ("semidirect(cyclic(3^1), inversion)", True),
     ("cyclic(3^2)", False),
 ])
-def test_deferred_pivot_rows_equal_the_eager_ones(monkeypatch, spec,
-                                                  basis_order):
+def test_deferred_pivot_rows_equal_the_eager_ones(monkeypatch, spec, a_major):
     # forcing every pivot that rank holds as a word gives the leads and
     # rows, item order included, of an Eliminator fed every row through
     # _insert, in rank's order over the same complement of the boundaries.
-    # Ranked in basis order, X^a and X^a w read the same lead off the
-    # word, so some read leads are taken and those rows are inserted
+    # With the letters relabelled a-major, X^a and X^a w read the same
+    # lead off the word, so some read leads are taken and those rows are
+    # inserted
     bar = build_bar(build_group_algebra(spec), 5)
-    if basis_order:
-        bar._rank_label, bar._rank_comult = None, bar._comult
-        bar._rank_heads = bar._lead_pairs(bar._comult)
+    ranks = None
+    if a_major:
+        plain = build_bar(bar.algebra, 5)
+        ranks = {(n, s): plain.rank(n, s)
+                 for n in range(5) for s in plain.blocks(n)}
+        relabel_a_major(bar)
     elims, fed, taken = [], [], []
 
     class Recording(Eliminator):
@@ -780,9 +828,9 @@ def test_deferred_pivot_rows_equal_the_eager_ones(monkeypatch, spec,
             super().__init__(field)
             elims.append(self)
 
-    def recording_lead(code, n, heads):
+    def recording_lead(code, n):
         fed.append(code)
-        lead = word_lead(code, n, heads)
+        lead = word_lead(code, n)
         if lead is not None and lead in elims[-1].pivots:
             taken.append(code)
         return lead
@@ -803,12 +851,15 @@ def test_deferred_pivot_rows_equal_the_eager_ones(monkeypatch, spec,
                 pivots[lead]
             eager = Eliminator(bar.field)
             for code in fed:
-                eager._insert(bar._d_packed(code, n, bar._rank_comult))
+                eager._insert(bar._d_packed(code, n))
             assert ([(lead, list(row.items())) for lead, row in pivots.items()]
                     == [(lead, list(row.items()))
                         for lead, row in eager.pivots.items()])
     assert deferred > 0
-    assert taken or not basis_order
+    assert taken or not a_major
+    if a_major:
+        assert ranks == {(n, s): bar.rank(n, s)
+                         for n in range(5) for s in bar.blocks(n)}
 
 
 def test_budget_guard_names_degree():
@@ -816,6 +867,20 @@ def test_budget_guard_names_degree():
     with pytest.raises(BudgetExceededError) as err:
         build_bar(alg, 4, budget=10)
     assert err.value.degree == 2
+    assert "degree 2" in str(err.value)
+
+
+def test_budget_counts_only_the_words_built():
+    # cap 3 builds the words of length 0, 1 and 2: 1 + 8 + 64 = 73; the
+    # d rows of length 2 reach length 3, but no block of it is built
+    alg = build_group_algebra("cyclic(3^2)")
+    bar = build_bar(alg, 3, budget=73)
+    assert sum(len(w) for n in range(3) for w in bar.blocks(n).values()) == 73
+    with pytest.raises(ValueError, match="beyond the words built"):
+        bar.blocks(3)
+    with pytest.raises(BudgetExceededError) as err:
+        build_bar(alg, 3, budget=72)
+    assert (err.value.degree, err.value.needed) == (2, 73)
     assert "degree 2" in str(err.value)
 
 

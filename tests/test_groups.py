@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import pathlib
 import re
 
@@ -157,7 +158,9 @@ def test_poly_mul_truncates():
 # -- algebras ---------------------------------------------------------------------
 
 def labels(alg) -> list[str]:
-    """Basis labels X1^a1*..*w in basis order, from the basis keys (a, w)."""
+    """Basis labels X1^a1*..*w in basis order, from the basis keys (a, w):
+    Weyl-major, so the labels of each w run over every exponent vector a
+    before the next w."""
     out = []
     for a, w in alg.basis_keys:
         parts = [f"X{i + 1}" if e == 1 else f"X{i + 1}^{e}"
@@ -211,7 +214,27 @@ def test_semidirect_s3_table():
     assert alg.mult(w, w) == {alg.unit_index: 1}
     assert alg.mult(x, x) == {x2: 1}
     # labels deterministic
-    assert labels(alg) == ["1", "w1", "X1", "X1*w1", "X1^2", "X1^2*w1"]
+    assert labels(alg) == ["1", "X1", "X1^2", "w1", "X1*w1", "X1^2*w1"]
+
+
+@pytest.mark.parametrize("spec", [
+    "cyclic(3^2)", "cyclic(3^1) x cyclic(3^2)",
+    "semidirect(cyclic(3^1), inversion)", "semidirect(torus(3,1,2), inversion)",
+    "semidirect(torus(2,1,2), Z3:[[0,1],[1,1]])",
+])
+def test_basis_is_weyl_major(spec):
+    # X^a w sits at w |T| + lin(a), lin the mixed-radix position of a with
+    # the last exponent fastest, and the augmentation is 1 exactly at the
+    # multiples of |T|, the elements of W
+    alg = build_group_algebra(spec)
+    nt = alg.torus_dim
+    assert nt == math.prod(alg.caps) and alg.dim == nt * alg.weyl.size
+    for (a, w), i in alg.index.items():
+        lin = 0
+        for x, c in zip(a, alg.caps):
+            lin = lin * c + x
+        assert i == w * nt + lin
+    assert [k for k in range(alg.dim) if alg.augmentation(k)] == list(range(0, alg.dim, nt))
 
 
 def test_splitting_depth1_inversion_matches_bruteforce():

@@ -1,5 +1,7 @@
 import functools
+import hashlib
 import itertools
+import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -236,6 +238,22 @@ def test_semidirect_transfer_runs_and_is_stasheff():
     # cohomology is free on one degree 3 and one degree 4 class below 5
     degs = sorted(st.space.degrees(l)[0] for l in st.space.labels())
     assert degs == [0, 3, 4]
+
+
+def test_semidirect_op_table_is_pinned():
+    # the whole table, hashed in the canonical JSON form bench/jobs.py
+    # digests: a byte-level oracle for a semidirect bar past degree 3
+    alg = build_group_algebra("semidirect(cyclic(3^2), inversion)")
+    st = transfer(build_bar(alg, 5), arity_cap=3, degree_cap=4)
+    table = [[k, list(labels), sorted(out.items())]
+             for k in sorted(st.ops) for labels, out in sorted(st.ops[k].items())]
+    canonical = json.dumps(table, sort_keys=True, separators=(",", ":"))
+    assert len(table) == 12
+    assert sum(1 for row in table if row[2]) == 5
+    assert hashlib.sha256(canonical.encode()).hexdigest() == (
+        "1f2db357dd503eda5f8d49107b1846d29ed09b8201978d3502e072eddd1a4afb")
+    checked, failures = check_stasheff(st)
+    assert (checked, failures) == (16, [])
 
 
 def test_one_coordinate_solve_per_lambda(monkeypatch):
