@@ -47,15 +47,20 @@ serves everything: blocks, ranks, pivot words and kernels, BlockBasis
 representatives.  rank(n, s) reads the pivot leads of rank(n - 1, s),
 the smallest words of the boundaries in the block, and skips those
 source words: the others span a complement of the boundaries, which d
-kills, so the rank is the same.  rank reads most leads off the words
+kills, so the rank is the same.  rank reads the leads off the words
 themselves: when the first letter's lex-smallest pair [a|b] has
-a < u_1, the lead of d[u_1|..|u_n] is [a|b|u_2|..|u_n], and the word's
-row is built only when a reduction first reads that pivot.
+a < u_1, the lead of d[u_1|..|u_n] is [a|b|u_2|..|u_n], and otherwise
+it follows from [a|b] and the lead of d[u_2|..|u_n].  A word's row is
+built only when a reduction first reads its pivot, or when its lead is
+taken; rank then reduces it only until its lead is free, since it
+needs the leads and their count, not reduced rows.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
+import math
 from typing import Iterator, Optional
 
 from .grading import BigradedSpace, InternalDegree, internal_zero
@@ -136,27 +141,49 @@ class BarComplex:
         return minus, plus
 
     def _lead_pairs(self) -> list[int]:
-        """Per letter u, the code of its lex-smallest pair [a|b] in the
-        comultiplication table when a < u, else 0; indexed by letter."""
+        """Per letter u, the code ab of its lex-smallest pair [a|b] in the
+        comultiplication table: ab when a < u, so that it settles the
+        lead of every word starting with u, else -ab; 0 when u has no
+        pairs.  Indexed by letter."""
         heads = [0] * self.algebra.dim
         for u, pairs in self._comult[0].items():
             if pairs:
                 ab = min(ab for ab, _ in pairs)
-                if ab >> self.bits < u:
-                    heads[u] = ab
+                heads[u] = ab if ab >> self.bits < u else -ab
         return heads
 
     def _word_lead(self, code: int, n: int) -> Optional[int]:
         """Smallest target of d of the word of length n, read off its
-        first letter through _lead_pairs, or None when that letter does
-        not settle it (see rank)."""
-        if n == 0:
-            return None
-        shift = self.bits * (n - 1)
-        ab = self._heads[code >> shift]
-        if not ab:
-            return None
-        return (ab << shift) | (code & ((1 << shift) - 1))
+        letters through _lead_pairs: 0 when d of the word is 0, None on a
+        tie the heads cannot settle (see rank).  The first letter whose
+        head settles, the common case, gives the lead of its suffix; the
+        letters before it are folded in from the last."""
+        bits, heads = self.bits, self._heads
+        if n:
+            shift = bits * (n - 1)
+            ab = heads[code >> shift]
+            if ab > 0:
+                return ab << shift | code & ((1 << shift) - 1)
+        shift, lead, open_ = bits * n, 0, []
+        while shift:
+            shift -= bits
+            u = code >> shift
+            code &= (1 << shift) - 1
+            ab = heads[u]
+            if ab > 0:
+                lead = ab << shift | code
+                break
+            open_.append((u, -ab, shift, code))
+        for u, ab, shift, rest in reversed(open_):
+            head = ab << shift | rest if ab else 0
+            if lead:
+                tail = u << (shift + bits) | lead
+                if head == tail:
+                    return None
+                lead = min(head, tail) if head else tail
+            else:
+                lead = head
+        return lead
 
     def blocks(self, n: int) -> dict[InternalDegree, list[int]]:
         """Codes of the words of length n grouped by internal degree, lex
@@ -276,19 +303,36 @@ class BarComplex:
         it, so no lead set outlives its one reader.
 
         Most leads are read off the source word, and most rows are never
-        built.  Let [a|b] be the lex-smallest pair in the table of the
-        first letter u_1 (_lead_pairs).  If a < u_1, the smallest target
-        of d[u_1|..|u_n] is [a|b|u_2|..|u_n]: every target from a later
-        position starts with u_1, so it is larger; among the targets from
-        position 0 this one is the smallest, it arises once, since each
-        pair appears once per letter, and its coefficient is in 1..p-1,
-        so it cannot cancel.  When that lead is free, the pivot table
+        built (_word_lead).  Write d[u|rest] = -D(u) rest - [u|d(rest)],
+        where D(u) = sum c_ab^u [a|b] over the pairs of u's table, each
+        pair once, with coefficients in 1..p-1.  Every target [a|b|rest]
+        of the first part starts with a pair of u and every target of the
+        second with u, and the two parts can share a target only when
+        a = u.  Let [a|b] be u's lex-smallest pair (_lead_pairs).  If
+        a < u, the lead is [a|b|rest]: it is below every target of the
+        second part and cannot cancel.  Otherwise, with t the lead of
+        d(rest): if d(rest) = 0, the lead is [a|b|rest], or d[u|rest] = 0
+        when u has no pairs; if a > u or u has no pairs, it is [u|t];
+        if a = u, it is the smaller of [u|t] and [u|b|rest], and a tie,
+        which may cancel, leaves the lead to the row.  A word whose d is
+        read as 0 is skipped.  When a read lead is free, the pivot table
         (_PivotRows) stores the word's code in place of its row, and the
-        first reduction that reads the pivot builds the row, the very dict
-        _insert would have stored.  Otherwise (a >= u_1, u_1 without
-        pairs, n = 0, or the lead taken) the row is built and inserted.
-        Ranks and leads are unchanged; on semidirect(torus(3,1,2),
-        inversion) at bar cap 5 the ranks build 26,784 rows, not 83,815.
+        first reduction that reads the pivot builds the row.  Otherwise
+        (a tie, or the lead taken) the row is built and inserted.
+
+        An inserted row is reduced only until its lead is free
+        (_PivotRows.insert), not against every pivot it touches.  Full
+        reduction clears the same pivot columns in the same ascending
+        order up to that point, and the pivot rows it clears later only
+        touch columns past their own leads, so the lead is the same; the
+        stored row differs from the fully reduced one by a combination of
+        pivot rows, so every span, and with it every later lead, is the
+        same too.  Ranks
+        and lead sets are those of a full elimination.  On
+        semidirect(torus(3,1,2), inversion) at bar cap 5 the ranks feed
+        83,815 words and build 5,393 rows: 26,784 with full reduction and
+        the first-letter heads alone, 13,230 with lead-only reduction
+        alone.
         """
         if n >= self.cap:
             raise ValueError("rank needs the target degree within the cap")
@@ -299,20 +343,19 @@ class BarComplex:
         if n > 0 and s in self.blocks(n - 1):
             self.rank(n - 1, s)
         leads = self._leads.pop((n - 1, s), ())
-        elim = Eliminator(self.field)
-        pivots = elim.pivots = _PivotRows(lambda code: self._d_packed(code, n))
+        pivots = _PivotRows(self.field.p, lambda code: self._d_packed(code, n))
         for code in reversed(self.blocks(n).get(s, [])):
             if code in leads:
                 continue
             lead = self._word_lead(code, n)
             if lead is None or lead in pivots:
-                elim._insert(self._d_packed(code, n))
-            else:
+                pivots.insert(self._d_packed(code, n))
+            elif lead:
                 pivots[lead] = code
-        if elim.pivots and n + 1 < self.cap:
-            self._leads[key] = set(elim.pivots)
-        self._ranks[key] = elim.rank
-        return elim.rank
+        if pivots and n + 1 < self.cap:
+            self._leads[key] = set(pivots)
+        self._ranks[key] = len(pivots)
+        return len(pivots)
 
     def dims(self, n: int) -> dict[InternalDegree, int]:
         """Cohomology dimensions in degree n < cap, per internal block."""
@@ -327,6 +370,9 @@ class BarComplex:
             cut = self.rank(n, s)
             prev = self.rank(n - 1, s) if n > 0 else 0
             dim = size - cut - prev
+            if dim < 0:
+                raise AssertionError(f"block ({n}, {s}): ranks {cut} and {prev} "
+                                     f"exceed its {size} words")
             if dim:
                 out[s] = dim
         return out
@@ -383,21 +429,69 @@ class BarComplex:
 
 class _PivotRows(dict):
     """rank's pivot table, lead -> row: a value is the row, or the code of
-    a source word whose lead was read off the word.  The first read of
-    such a lead builds the row, build(code), and keeps it."""
+    a source word whose lead was read off the word.  The first reduction
+    that reads such a lead builds the row, build(code), and keeps it.
+    Rows are stored as built or reduced only until their lead is free
+    (insert), so the table gives the leads and the rank, and nothing
+    else reads its rows; the pivot rows of every other elimination are
+    Eliminator's, fully reduced."""
 
-    __slots__ = ("build",)
+    __slots__ = ("p", "build")
 
-    def __init__(self, build):
+    def __init__(self, p: int, build):
         super().__init__()
+        self.p = p
         self.build = build
 
-    def __getitem__(self, lead: int) -> dict[int, int]:
-        row = dict.__getitem__(self, lead)
-        if type(row) is int:
-            row = self.build(row)
-            dict.__setitem__(self, lead, row)
-        return row
+    def insert(self, v: dict[int, int]) -> Optional[int]:
+        """Store a clean row the caller hands over, reduced only until its
+        lead is free; returns that lead, or None if the row reduces to 0.
+
+        Pivot columns are cleared in ascending order from a heap of pivot
+        columns only, as Eliminator._reduce does, and free tracks the
+        lowest column of v without a pivot: the reduction stops at the
+        first pivot column above it.  Fill-in lands past the column being
+        cleared, so only a cancellation can raise free, and only then is
+        it looked up again.  The row is stored as a new dict, which
+        compacts it after the deletions."""
+        p = self.p
+        heap = [c for c in v if c in self]
+        free = min((c for c in v if c not in self), default=math.inf)
+        heapq.heapify(heap)
+        pop, push = heapq.heappop, heapq.heappush
+        while heap:
+            col = pop(heap)
+            if free < col:
+                break
+            coef = v.get(col)
+            if coef is None:
+                continue
+            row = self[col]
+            if type(row) is int:
+                row = self[col] = self.build(row)
+            lead = row[col]
+            scale = p - coef if lead == 1 else (p - coef) * pow(lead, -1, p) % p
+            for c, pc in row.items():
+                old = v.get(c)
+                if old is None:
+                    v[c] = scale * pc % p
+                    if c in self:
+                        push(heap, c)
+                    elif c < free:
+                        free = c
+                else:
+                    new = (old + scale * pc) % p
+                    if new:
+                        v[c] = new
+                    else:
+                        del v[c]
+                        if c == free:
+                            free = min((c for c in v if c not in self),
+                                       default=math.inf)
+        if not v:
+            return None
+        self[free] = dict(v)
+        return free
 
 
 class BlockBasis:

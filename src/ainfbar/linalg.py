@@ -6,8 +6,10 @@ on row dicts.  Its reduction walks a heap of pivot columns only, so the
 cost of a reduction follows the pivots it clears, not the columns it
 holds.  Pivot rows are stored as built, lead coefficient included: a row
 that needs no reduction is neither copied nor scaled.  The bar's rank
-defers even that: its pivot table holds a word until a reduction reads
-the row.  Two helpers build on it: column_echelon streams the
+keeps its own pivot table: it holds a word until a reduction reads the
+row, and reduces a row only until its lead is free, since a rank needs
+no more; every other elimination, and any reduced row a caller reads,
+goes through Eliminator.  Two helpers build on it: column_echelon streams the
 free-variable kernel of a matrix, and records its pivot columns, from one
 tagged elimination into the caller's eliminator, and rref_rows gives the
 reduced row echelon basis of a span, normalized, by back-substitution over

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from ainfbar.bar import (
-    BlockBasis, BudgetExceededError, Restriction, build_bar, restriction,
+    BlockBasis, BudgetExceededError, Restriction, _PivotRows, build_bar,
+    restriction,
 )
 from ainfbar.grading import InternalDegree, internal_zero
 from ainfbar.groups import AlgebraMap, build_group_algebra, power_inclusion
@@ -653,15 +654,21 @@ def test_weyl_major_rank_needs_few_reductions(monkeypatch):
     # rows need a reduction here (44,368 of 88,808 over the blocks at bar
     # cap 5); the Weyl-major basis feeding every word needs 443 (7,506 at
     # cap 5), and skipping the boundary leads of the block below 156
-    # (2,582 at cap 5)
+    # (2,582 at cap 5).  A row needs a reduction when its lowest column
+    # already has a pivot in rank's table
     bar = build_bar(build_group_algebra("semidirect(torus(3,1,2), inversion)"), 4)
     calls = []
-    reduce = Eliminator._reduce
-    monkeypatch.setattr(Eliminator, "_reduce",
-                        lambda self, v: calls.append(1) or reduce(self, v))
+    insert = _PivotRows.insert
+
+    def counting_insert(self, v):
+        if min(v) in self:
+            calls.append(1)
+        return insert(self, v)
+
+    monkeypatch.setattr(_PivotRows, "insert", counting_insert)
     ranks = sum(bar.rank(n, s) for n in range(4) for s in bar.blocks(n))
     assert ranks == 4926
-    assert len(calls) <= 300
+    assert 0 < len(calls) <= 300
 
 
 @pytest.mark.parametrize("spec,cap", [
@@ -669,12 +676,14 @@ def test_weyl_major_rank_needs_few_reductions(monkeypatch):
     ("semidirect(torus(3,1,2), inversion)", 4),
 ])
 def test_rank_feeds_only_a_complement_of_the_boundaries(monkeypatch, spec, cap):
-    # a row that reduces to zero is a cocycle off the boundaries' leads, so
-    # one per class is left; feeding every word leaves 4,164 on cyclic(3^2)
-    # and 294 on the semidirect bar
+    # a fed row that gives no pivot is a cocycle off the boundaries' leads,
+    # so one per class is left: a row that reduces to zero in rank's
+    # table, or a word whose d is read off it as zero and never built.
+    # Feeding every word leaves 4,164 on cyclic(3^2) and 294 on the
+    # semidirect bar
     bar = build_bar(build_group_algebra(spec), cap)
-    zeros = []
-    insert = Eliminator._insert
+    zeros, known = [], []
+    insert = _PivotRows.insert
 
     def counting_insert(self, v):
         lead = insert(self, v)
@@ -682,9 +691,19 @@ def test_rank_feeds_only_a_complement_of_the_boundaries(monkeypatch, spec, cap):
             zeros.append(1)
         return lead
 
-    monkeypatch.setattr(Eliminator, "_insert", counting_insert)
+    def counting_lead(code, n):
+        lead = word_lead(code, n)
+        if lead == 0:
+            known.append(code)
+        return lead
+
+    monkeypatch.setattr(_PivotRows, "insert", counting_insert)
+    word_lead = bar._word_lead
+    monkeypatch.setattr(bar, "_word_lead", counting_lead)
     coh = bar.cohomology()
-    assert len(zeros) == len(coh.space.labels()) == 6
+    assert len(zeros) + len(known) == len(coh.space.labels()) == 6
+    assert zeros and known
+    assert all(bar.d_cochain({code: 1}) == {} for code in known)
 
 
 @pytest.mark.parametrize("spec,cap", [
@@ -734,10 +753,10 @@ def cached_bar(spec):
        st.integers(1, 5), st.integers(0, 2 ** 32))
 def test_word_lead_is_the_smallest_target(spec, n, seed):
     # every first letter is tried on one random tail: a lead read off the
-    # word is the row's smallest target, and the smallest letter, with no
-    # pair below it, always falls back
+    # word is the row's smallest target, and a zero read off it is an
+    # empty row, as for the empty word
     bar = cached_bar(spec)
-    assert bar._word_lead(0, 0) is None
+    assert bar._word_lead(0, 0) == 0
     rng = random.Random(seed)
     tail = [rng.choice(bar.letters) for _ in range(n - 1)]
     read = []
@@ -745,9 +764,41 @@ def test_word_lead_is_the_smallest_target(spec, n, seed):
         code = pack(bar, [u] + tail)
         lead = bar._word_lead(code, n)
         if lead is not None:
-            assert lead == min(bar._d_packed(code, n))
+            row = bar._d_packed(code, n)
+            assert lead == (min(row) if row else 0)
             read.append(u)
-    assert read and min(bar.letters) not in read
+    assert read
+
+
+@pytest.mark.parametrize("spec,first,n,read,zero,tie", [
+    ("cyclic(3^2)", [1], 4, 511, 1, 0),
+    ("semidirect(torus(3,1,2), inversion)", [1, 3, 9], 3, 858, 0, 9),
+    ("semidirect(cyclic(3^1), inversion)", [1, 3], 5, 1234, 0, 16),
+])
+def test_word_lead_reads_letters_their_head_does_not_settle(spec, first, n, read,
+                                                            zero, tie):
+    # letter 1 of cyclic(3^2) has no pairs, and the other first letters
+    # have heads [u|w - 1]: over every word of length n starting with one
+    # of them, the lead folds in the lead of d of the rest, and only a tie
+    # between [w - 1|rest] and that lead is left to the row
+    bar = cached_bar(spec)
+    assert [u for u in bar.letters if bar._heads[u] <= 0] == first
+    got = collections.Counter()
+    for tail in itertools.product(bar.letters, repeat=n - 1):
+        for u in first:
+            code = pack(bar, [u, *tail])
+            lead = bar._word_lead(code, n)
+            row = bar._d_packed(code, n)
+            if lead is None:
+                got["tie"] += 1
+                assert row
+            elif lead == 0:
+                got["zero"] += 1
+                assert row == {}
+            else:
+                got["read"] += 1
+                assert lead == min(row)
+    assert got == collections.Counter(read=read, zero=zero, tie=tie)
 
 
 @pytest.mark.parametrize("spec,count", [
@@ -759,19 +810,23 @@ def test_word_lead_is_the_smallest_target(spec, n, seed):
 def test_weyl_major_lead_pairs_are_distinct(spec, count):
     # in the Weyl-major basis no two letters read the same lead pair, so
     # words that differ only in their first letter read distinct leads
-    heads = [ab for ab in cached_bar(spec)._heads if ab]
+    heads = [ab for ab in cached_bar(spec)._heads if ab > 0]
     assert len(heads) == len(set(heads)) == count
 
 
 @pytest.mark.parametrize("spec,cap,bound", [
-    ("semidirect(torus(3,1,2), inversion)", 4, 2_500),
-    ("cyclic(3^2)", 5, 1_000),
+    ("semidirect(torus(3,1,2), inversion)", 4, 400),
+    ("semidirect(torus(3,1,2), inversion)", 5, 6_000),
+    ("cyclic(3^2)", 5, 530),
 ])
 def test_rank_builds_few_rows(monkeypatch, spec, cap, bound):
-    # a row is built when its lead is not read off the word or is taken,
-    # or when a reduction reads its pivot: building every fed row costs
-    # 4,932 calls on the semidirect bar and 4,163 on cyclic(3^2), reading
-    # the leads off the words 1,580 and 530
+    # a row is built when its lead is not read off the word (a tie) or is
+    # taken, or when a reduction reads its pivot: building every fed row
+    # costs 4,932 calls on the semidirect bar and 4,163 on cyclic(3^2),
+    # reading the leads of the first letters with a head below them
+    # 1,580 and 530, and reducing only until the lead is free and reading
+    # every settled lead 361 and 528.  At cap 5 the semidirect bar builds
+    # 26,784, 13,230 and 5,393 rows
     bar = build_bar(build_group_algebra(spec), cap)
     calls = []
     d_packed = bar._d_packed
@@ -802,6 +857,10 @@ def relabel_a_major(bar):
     bar._heads = bar._lead_pairs()
 
 
+def table_items(table):
+    return [(lead, list(row.items())) for lead, row in table.items()]
+
+
 @pytest.mark.parametrize("spec,a_major", [
     ("semidirect(cyclic(3^1), inversion)", False),
     ("semidirect(cyclic(3^1), inversion)", True),
@@ -809,11 +868,12 @@ def relabel_a_major(bar):
 ])
 def test_deferred_pivot_rows_equal_the_eager_ones(monkeypatch, spec, a_major):
     # forcing every pivot that rank holds as a word gives the leads and
-    # rows, item order included, of an Eliminator fed every row through
-    # _insert, in rank's order over the same complement of the boundaries.
-    # With the letters relabelled a-major, X^a and X^a w read the same
-    # lead off the word, so some read leads are taken and those rows are
-    # inserted
+    # rows, item order included, of a table fed every row through insert,
+    # in rank's order over the same complement of the boundaries; and the
+    # leads, in order, are those of an Eliminator that fully reduces the
+    # same rows.  With the letters relabelled a-major, X^a and X^a w read
+    # the same lead off the word, so some read leads are taken and those
+    # rows are inserted
     bar = build_bar(build_group_algebra(spec), 5)
     ranks = None
     if a_major:
@@ -821,45 +881,95 @@ def test_deferred_pivot_rows_equal_the_eager_ones(monkeypatch, spec, a_major):
         ranks = {(n, s): plain.rank(n, s)
                  for n in range(5) for s in plain.blocks(n)}
         relabel_a_major(bar)
-    elims, fed, taken = [], [], []
+    tables, fed, taken = [], [], []
 
-    class Recording(Eliminator):
-        def __init__(self, field):
-            super().__init__(field)
-            elims.append(self)
+    class Recording(_PivotRows):
+        # fed gets each deferred word's code and a copy of each inserted row
+        def __init__(self, p, build):
+            super().__init__(p, build)
+            tables.append(self)
+
+        def __setitem__(self, lead, row):
+            if type(row) is int:
+                fed.append(row)
+            super().__setitem__(lead, row)
+
+        def insert(self, v):
+            fed.append(dict(v))
+            return super().insert(v)
 
     def recording_lead(code, n):
-        fed.append(code)
         lead = word_lead(code, n)
-        if lead is not None and lead in elims[-1].pivots:
+        if lead and lead in tables[-1]:
             taken.append(code)
         return lead
 
-    monkeypatch.setattr("ainfbar.bar.Eliminator", Recording)
+    monkeypatch.setattr("ainfbar.bar._PivotRows", Recording)
     word_lead = bar._word_lead
     monkeypatch.setattr(bar, "_word_lead", recording_lead)
     deferred = 0
     for n in range(bar.cap):
         for s in bar.blocks(n):
-            elims.clear()
+            tables.clear()
             fed.clear()
             bar.rank(n, s)
-            (elim,) = elims
-            pivots = elim.pivots
+            (pivots,) = tables
             deferred += sum(type(row) is int for row in pivots.values())
-            for lead in pivots:
-                pivots[lead]
-            eager = Eliminator(bar.field)
-            for code in fed:
-                eager._insert(bar._d_packed(code, n))
-            assert ([(lead, list(row.items())) for lead, row in pivots.items()]
-                    == [(lead, list(row.items()))
-                        for lead, row in eager.pivots.items()])
+            for lead, row in pivots.items():
+                if type(row) is int:
+                    pivots[lead] = bar._d_packed(row, n)
+            eager = _PivotRows(bar.field.p, None)
+            full = Eliminator(bar.field)
+            for row in fed:
+                if type(row) is int:
+                    row = bar._d_packed(row, n)
+                eager.insert(dict(row))
+                full._insert(dict(row))
+            assert table_items(pivots) == table_items(eager)
+            assert list(pivots) == list(full.pivots)
     assert deferred > 0
     assert taken or not a_major
     if a_major:
         assert ranks == {(n, s): bar.rank(n, s)
                          for n in range(5) for s in bar.blocks(n)}
+
+
+@pytest.mark.parametrize("spec,cap", [
+    ("cyclic(3^2)", 6),
+    ("semidirect(torus(3,1,2), inversion)", 4),
+    ("semidirect(torus(3,2,2), inversion)", 3),
+    ("semidirect(cyclic(3^1), inversion)", 7),
+    ("semidirect(torus(2,1,2), Z3:[[0,1],[1,1]])", 4),
+])
+def test_rank_matches_a_full_reduction_reference(spec, cap):
+    # a plain Eliminator fed every row of the complement of its own lead
+    # set one length down, in source order and fully reduced, gives every
+    # rank, and every lead set that rank keeps for the length above
+    bar = build_bar(cached_algebra(spec), cap)
+    below = {}
+    for n in range(cap):
+        for s, words in bar.blocks(n).items():
+            leads = below.get((n - 1, s), set())
+            ref = Eliminator(bar.field)
+            for w in words:
+                if w not in leads:
+                    ref._insert(bar._d_packed(w, n))
+            below[(n, s)] = set(ref.pivots)
+            assert bar.rank(n, s) == ref.rank
+            kept = set(ref.pivots) if n + 1 < cap else set()
+            assert bar._leads.get((n, s), set()) == kept
+
+
+def test_dims_rejects_a_rank_too_high(monkeypatch):
+    # one rank too many on a block without classes would leave it a
+    # dimension of -1; dims names the block instead
+    bar = build_bar(build_group_algebra("cyclic(3^2)"), 5)
+    n = 3
+    s = next(s for s in bar.blocks(n) if s not in bar.dims(n))
+    rank = bar.rank
+    monkeypatch.setattr(bar, "rank", lambda m, t: rank(m, t) + ((m, t) == (n, s)))
+    with pytest.raises(AssertionError, match=re.escape(f"block ({n}, {s})")):
+        bar.dims(n)
 
 
 def test_budget_guard_names_degree():
