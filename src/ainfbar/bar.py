@@ -33,17 +33,16 @@ every tag, so within a block the keys sort exactly as word positions i
 stored at dim - 1 - i with tags at dim + k would: pivots, kernels and
 representatives are those of that position layout, with no position
 index to build.  Both are column_echelon eliminations.  A block's
-kernels stream from its elimination (kernels) and are read once, by its
+kernels stream from its elimination and are read once, by its
 BlockBasis, which stops at the last representative; a block that holds no
-class is never asked for them.  The bar keeps only each block's pivot
-words (pivots), cached when a stream runs to its end.  A stopped stream
-caches nothing, so a block with classes may be eliminated twice, once for
-its representatives and once for the pivot words the block above reads.
+class never streams them.  A BlockBasis also gives its block's pivot
+words, the B words of the basis one length up, so that stream is the only
+elimination of a block's own differential outside rank.
 
 Letters are numbered in the algebra's basis order, Weyl-major: X^a w is
 w |T| + lin(a), so the letters X^a come first and every letter w - 1
 after them (see rank).  One packed comultiplication table in that order
-serves everything: blocks, ranks, pivot words and kernels, BlockBasis
+serves everything: blocks, ranks, kernels and BlockBasis
 representatives.  rank(n, s) reads the pivot leads of rank(n - 1, s),
 the smallest words of the boundaries in the block, and skips those
 source words: the others span a complement of the boundaries, which d
@@ -61,7 +60,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from typing import Iterator, Optional
+from typing import Optional
 
 from .grading import BigradedSpace, InternalDegree, internal_zero
 from .linalg import Eliminator, column_echelon, vec_add_scaled
@@ -108,7 +107,6 @@ class BarComplex:
         self._ranks: dict[tuple[int, InternalDegree], int] = {}
         # pivot leads of rank(n, s), kept for rank(n + 1, s) to pop
         self._leads: dict[tuple[int, InternalDegree], set[int]] = {}
-        self._pivots: dict[tuple[int, InternalDegree], list[int]] = {}
         self._cohomology: Optional[CohomologyData] = None
 
     def _build_comult(self) -> tuple[dict, dict]:
@@ -395,32 +393,6 @@ class BarComplex:
             raise ValueError("cochain mixes internal degrees")
         return lengths.pop(), self._degree(wts.pop())
 
-    def kernels(self, n: int, s: InternalDegree) -> Iterator[dict]:
-        """Free-variable kernels of the differential leaving block (n, s),
-        source words in lex order, streamed from one column_echelon
-        elimination of the block.  The kernel of free word j depends only
-        on the words before j, so a reader may stop early; only the rows
-        it reaches are built.  When the stream runs to its end, its pivot
-        words, which greedily span the boundaries one degree up, are
-        cached for pivots; a stopped stream caches nothing."""
-        if n >= self.cap:
-            raise ValueError("kernels need the target degree within the cap")
-        pivots: list[int] = []
-        yield from column_echelon(
-            Eliminator(self.field), ((w, self._d_packed(w, n))
-                                     for w in self.blocks(n).get(s, [])),
-            pivots)
-        self._pivots[(n, s)] = pivots
-
-    def pivots(self, n: int, s: InternalDegree) -> list[int]:
-        """Pivot words of block (n, s), from the cache or from one full
-        run of the block's kernel stream."""
-        key = (n, s)
-        if key not in self._pivots:
-            for _ in self.kernels(n, s):
-                pass
-        return self._pivots[key]
-
     def cohomology(self) -> "CohomologyData":
         if self._cohomology is None:
             self._cohomology = CohomologyData(self)
@@ -498,9 +470,10 @@ class BlockBasis:
     """Coordinates on one (n, s) block in the basis B + R + U.
 
     B holds the pivot images d(e_w) of the block below, one per word w of
-    b_words = bar.pivots(n - 1, s); R the class representatives; U the
-    unit vectors e_j at the block's own pivot words j.  B + R spans the
-    cocycles Z, so a cochain is a cocycle exactly when its U part is zero.
+    b_words, the pivot_words of the basis one length down; R the class
+    representatives; U the unit vectors e_j at the block's own pivot words
+    j, pivot_words.  B + R spans the cocycles Z, so a cochain is a cocycle
+    exactly when its U part is zero.
 
     Two eliminations over the B + R rows build it, and neither holds a U
     row.  The first picks the representatives.  The cached ranks give the
@@ -509,26 +482,28 @@ class BlockBasis:
     image per b_word.  A block without classes has Z = B and R empty, so
     it skips this elimination and never eliminates its own block.
     Otherwise an untagged elimination keyed by code takes the B images,
-    then reduces the kernels streamed by bar.kernels(n, s), a basis of Z,
-    against B and the earlier representatives; a nonzero remainder is the
-    next representative.  Each is independent of B and of those before
-    it, so once classes of them are found, B + R is a subspace of Z of
-    dimension |b_words| + classes = dim Z, hence Z itself: R spans Z/B,
-    and every later kernel, lying in Z, would reduce to zero.  The stream
-    stops there.  Each kernel depends only on the columns before it, so
-    the representatives are those a full stream would give.  If the
-    kernels run out first, B + R + U falls short of the block, and the
-    spanning check raises, as it does when |b_words| != rank(n - 1, s).  A
+    then reduces the kernels of the block's differential, a basis of Z
+    streamed by column_echelon over its words in lex order, against B and
+    the earlier representatives; a nonzero remainder is the next
+    representative.  Each is independent of B and of those before it, so
+    once classes of them are found, B + R is a subspace of Z of dimension
+    |b_words| + classes = dim Z, hence Z itself: R spans Z/B, and every
+    later kernel, lying in Z, would reduce to zero.  The stream stops
+    there.  Each kernel depends only on the columns before it, so the
+    representatives are those a full stream would give.  If the kernels
+    run out first, B + R + U falls short of the block, and the spanning
+    check raises, as it does when |b_words| != rank(n - 1, s).  A
     rank(n, s) too high on a block with classes still spans, one class
-    short; it is seen only when pivots(n, s) is read, one length up.  The
-    stream and this elimination are dropped when the basis is built.  The
-    second, kept in elim, is column_echelon over the same rows, basis vector k as column
+    short; pivot_words then holds a free word, and the basis one length
+    up, whose B images they are, is singular.  The stream and this
+    elimination are dropped when the basis is built.  The second, kept in
+    elim, is column_echelon over the same rows, basis vector k as column
     k: word w is stored at ~w, so each row's lead is its largest word, and
     the row is tagged with a 1 at k >= 0, above every word.  coords
     reduces a cochain against it: the tags give minus its B and R
-    coordinates and the data remainder is its U part.
-    Within a block code order is lex order, so this layout orders the keys
-    exactly as word positions would at dim - 1 - i, tags at dim + k.
+    coordinates and the data remainder is its U part.  Within a block
+    code order is lex order, so this layout orders the keys exactly as
+    word positions would at dim - 1 - i, tags at dim + k.
 
     Why the remainder lies on U.  Let z in Z have largest word j.  Since
     d(z) = 0, d(e_j) lies in the span of d(e_i), i < j, so j is a free
@@ -538,23 +513,28 @@ class BlockBasis:
     entry on a lead, so it lies on the pivot columns P.  No nonzero
     vector of Z lies on P, since its largest word is free, so
     v = z + sum over j in P of u_j e_j is the unique decomposition of v
-    over Z + U, and b, r and u are the coordinates in B + R + U.
+    over Z + U, and b, r and u are the coordinates in B + R + U.  So the
+    pivot words P, those whose d(e_j) is independent of the d(e_i) before
+    it, are the words w with no lead at ~w, in lex order; their images
+    span d(block), and they are the b_words of the basis one length up.
     """
 
-    def __init__(self, bar: BarComplex, n: int, s: InternalDegree):
-        self.b_words: list[int] = bar.pivots(n - 1, s) if n > 0 else []
-        if n > 0 and len(self.b_words) != bar.rank(n - 1, s):
-            raise AssertionError(f"block ({n}, {s}): {len(self.b_words)} pivot "
+    def __init__(self, bar: BarComplex, n: int, s: InternalDegree,
+                 b_words: list[int]):
+        self.b_words = b_words
+        if n > 0 and len(b_words) != bar.rank(n - 1, s):
+            raise AssertionError(f"block ({n}, {s}): {len(b_words)} pivot "
                                  f"words below, rank {bar.rank(n - 1, s)}")
-        images = [bar._d_packed(w, n - 1) for w in self.b_words]
-        dim = len(bar.blocks(n).get(s, []))
-        classes = dim - bar.rank(n, s) - len(self.b_words)
+        images = [bar._d_packed(w, n - 1) for w in b_words]
+        words = bar.blocks(n).get(s, [])
+        classes = len(words) - bar.rank(n, s) - len(b_words)
         self.reps: list[dict] = []
         if classes > 0:
             span = Eliminator(bar.field)
             for image in images:
                 span.add_row(image)
-            for kernel in bar.kernels(n, s):
+            stream = ((w, bar._d_packed(w, n)) for w in words)
+            for kernel in column_echelon(Eliminator(bar.field), stream):
                 rep = span.reduce(kernel)
                 if rep:
                     self.reps.append(rep)
@@ -563,10 +543,11 @@ class BlockBasis:
                     span.add_row(rep)
         self.elim = Eliminator(bar.field)
         rows = enumerate(itertools.chain(images, self.reps))
-        for _ in column_echelon(self.elim, rows, []):
+        for _ in column_echelon(self.elim, rows):
             raise AssertionError("block basis is singular")
-        if self.elim.rank + bar.rank(n, s) != dim:
+        if self.elim.rank + bar.rank(n, s) != len(words):
             raise AssertionError(f"block ({n}, {s}): basis does not span")
+        self.pivot_words = [w for w in words if ~w not in self.elim.pivots]
 
     def coords(self, cochain: dict[int, int]) -> tuple[dict, dict, dict]:
         """Coordinates of a cochain of this block: b on B and r on R,
@@ -612,11 +593,15 @@ class CohomologyData:
         self._bases: dict[tuple[int, InternalDegree], BlockBasis] = {}
 
     def block_basis(self, n: int, s: InternalDegree) -> BlockBasis:
+        """The basis of block (n, s), cached; its B words are the pivot
+        words of the basis one length down, built first unless that block
+        has rank 0."""
         key = (n, s)
         got = self._bases.get(key)
         if got is None:
-            got = BlockBasis(self.bar, n, s)
-            self._bases[key] = got
+            below = n > 0 and self.bar.rank(n - 1, s)
+            b_words = self.block_basis(n - 1, s).pivot_words if below else []
+            got = self._bases[key] = BlockBasis(self.bar, n, s, b_words)
         return got
 
     def representative(self, label: str) -> dict[int, int]:

@@ -9,11 +9,10 @@ that needs no reduction is neither copied nor scaled.  The bar's rank
 keeps its own pivot table: it holds a word until a reduction reads the
 row, and reduces a row only until its lead is free, since a rank needs
 no more; every other elimination, and any reduced row a caller reads,
-goes through Eliminator.  Two helpers build on it: column_echelon streams the
-free-variable kernel of a matrix, and records its pivot columns, from one
-tagged elimination into the caller's eliminator, and rref_rows gives the
-reduced row echelon basis of a span, normalized, by back-substitution over
-the eliminator's pivot rows.
+goes through Eliminator.  Two helpers build on it: column_echelon streams
+the free-variable kernel of a matrix from one tagged elimination into the
+caller's eliminator, and rref_rows gives the reduced row echelon basis of a
+span, normalized, by back-substitution over the eliminator's pivot rows.
 """
 
 from __future__ import annotations
@@ -180,26 +179,24 @@ class Eliminator:
         return lead
 
 
-def column_echelon(elim: Eliminator, columns: Iterable[tuple[int, dict]],
-                   pivots: list[int]) -> Iterator[dict]:
-    """Kernel basis of the matrix with these columns, streamed, and its
-    pivot columns.
+def column_echelon(elim: Eliminator,
+                   columns: Iterable[tuple[int, dict]]) -> Iterator[dict]:
+    """Kernel basis of the matrix with these columns, streamed.
 
     Columns come as (key, column) pairs, keys and row indices both
     nonnegative ints.  A column is a pivot when it is independent of the
-    columns before it, as in the RREF; its key is appended to the caller's
-    pivots as it is found.  The kernel has one vector per free column j,
-    keyed by column key: a 1 at j, zeros at the other free columns, so it
-    is the RREF free-variable basis.  Each kernel is yielded as its column
-    is read, and it depends only on the columns before it, so a reader that
-    stops early gets the same first kernels; pivots is complete only when
-    the stream has run to its end.  Both come from one elimination over the
-    columns, row i stored at ~i and each column tagged with a 1 at its key:
-    every tag sorts above every row, so a column that reduces to zero on
-    the rows leaves its kernel vector in the tags.  ~i = -i - 1 orders the
-    rows as height - 1 - i would, tags above them as at height + j, without
-    knowing the height.  The caller's elim keeps the pivot rows: reducing
-    v, stored at ~i, leaves minus its pivot column coordinates in the tags.
+    columns before it, as in the RREF.  The kernel has one vector per free
+    column j, keyed by column key: a 1 at j, zeros at the other free
+    columns, so it is the RREF free-variable basis.  Each kernel is yielded
+    as its column is read, and it depends only on the columns before it, so
+    a reader that stops early gets the same first kernels.  They come from
+    one elimination over the columns, row i stored at ~i and each column
+    tagged with a 1 at its key: every tag sorts above every row, so a
+    column that reduces to zero on the rows leaves its kernel vector in the
+    tags.  ~i = -i - 1 orders the rows as height - 1 - i would, tags above
+    them as at height + j, without knowing the height.  The caller's elim
+    keeps the pivot rows: reducing v, stored at ~i, leaves minus its pivot
+    column coordinates in the tags.
 
     Storing row i at ~i makes each column pivot on its largest row index.
     The pivot set and kernels do not depend on that choice, but the
@@ -218,7 +215,6 @@ def column_echelon(elim: Eliminator, columns: Iterable[tuple[int, dict]],
             row = elim._reduce(row)
         if min(row) < 0:
             elim._insert(dict(row) if reduced else row)
-            pivots.append(j)
         else:
             yield row
 

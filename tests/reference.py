@@ -3,7 +3,7 @@ way, pair by pair, for the tests to compare the library's table and
 comultiplication against."""
 
 from ainfbar.groups import poly_mul
-from ainfbar.linalg import vec_add_scaled
+from ainfbar.linalg import Eliminator, vec_add_scaled
 
 
 def reference_product(alg, u: dict, v: dict) -> dict:
@@ -70,3 +70,41 @@ def reference_comult(bar) -> dict:
             for u, c in reference_iota_product(bar.algebra, a, b).items():
                 comult[u].append((a, b, c))
     return comult
+
+
+def reference_column_echelon(field, columns, height):
+    """Pivot positions and free-variable kernels, keyed by position, with
+    row i stored at height - 1 - i and column j tagged at height + j."""
+    p = field.p
+    top = height - 1
+    elim = Eliminator(field)
+    pivots, kernels = [], []
+    for j, col in enumerate(columns):
+        row = {top - i: c % p for i, c in col.items() if c % p}
+        row[height + j] = 1
+        if min(row) in elim.pivots:
+            row = elim._reduce(row)
+        if min(row) < height:
+            elim.add_row(row)
+            pivots.append(j)
+        else:
+            kernels.append({t - height: c for t, c in row.items()})
+    return pivots, kernels
+
+
+def reference_forward_stream(bar, n, s, targets=None):
+    """Pivot words and kernels of block (n, s), as one full forward stream
+    of the block's differential would give them: reference_column_echelon
+    over the images of its words in lex order, each target word at its
+    position in targets, by default the lex-ordered words the images
+    reach."""
+    words = bar.blocks(n).get(s, [])
+    images = [bar.d_cochain({w: 1}) for w in words]
+    if targets is None:
+        targets = sorted({t for image in images for t in image})
+    index = {t: i for i, t in enumerate(targets)}
+    pivots, kernels = reference_column_echelon(
+        bar.field, [{index[t]: c for t, c in image.items()} for image in images],
+        len(targets))
+    return ([words[j] for j in pivots],
+            [{words[j]: c for j, c in k.items()} for k in kernels])

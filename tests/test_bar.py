@@ -3,20 +3,22 @@ import functools
 import itertools
 import random
 import re
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from ainfbar import bar as bar_module
 from ainfbar.bar import (
     BlockBasis, BudgetExceededError, Restriction, _PivotRows, build_bar,
     restriction,
 )
 from ainfbar.grading import InternalDegree, internal_zero
 from ainfbar.groups import AlgebraMap, build_group_algebra, power_inclusion
-from ainfbar.linalg import Eliminator, rref_rows, vec_add_scaled
+from ainfbar.linalg import Eliminator, column_echelon, rref_rows, vec_add_scaled
 from ainfbar.transfer import transfer
 from packed import pack, pack_cochain, unpack, unpack_cochain
-from reference import reference_comult
+from reference import reference_comult, reference_forward_stream
 
 
 @pytest.mark.parametrize("spec,cap", [
@@ -230,11 +232,41 @@ def small_bars(draw):
     return build_bar(build_group_algebra(spec), draw(st.integers(2, top)))
 
 
-def struct(bar, n, s):
-    """Pivot words and kernels of block (n, s) from one full run of its
-    kernel stream; the run caches the pivot words it returns."""
-    kernels = list(bar.kernels(n, s))
-    return bar.pivots(n, s), kernels
+def built_bases(bar, order):
+    """Every block basis, built through the bar's cohomology in the given
+    order of lengths, and the forward kernel streams run while building
+    them, in call order, as (block of the basis, words read, kernels
+    yielded).  A basis's tagged elimination, the one it keeps in elim,
+    is not a forward stream."""
+    coh = bar.cohomology()
+    building, calls = [], []
+    init = BlockBasis.__init__
+
+    def build(basis, bar, n, s, b_words):
+        building.append((n, s))
+        init(basis, bar, n, s, b_words)
+        building.pop()
+
+    def tap(columns, read):
+        for j, col in columns:
+            read.append(j)
+            yield j, col
+
+    def stream(elim, columns):
+        read, kernels = [], []
+        calls.append((building[-1], elim, read, kernels))
+        for kernel in column_echelon(elim, tap(columns, read)):
+            kernels.append(kernel)
+            yield kernel
+
+    with mock.patch.object(BlockBasis, "__init__", build), \
+            mock.patch.object(bar_module, "column_echelon", stream):
+        for n in order:
+            for s in bar.blocks(n):
+                coh.block_basis(n, s)
+    bases = dict(coh._bases)
+    return bases, [(key, read, kernels) for key, elim, read, kernels in calls
+                   if elim is not bases[key].elim]
 
 
 def word_index(bar, n, s):
@@ -250,9 +282,15 @@ def in_positions(bar, n, s, cochain):
 @settings(max_examples=25, deadline=None)
 @given(small_bars())
 def test_block_elimination_properties(bar):
+    bases, streams = built_bases(bar, range(bar.cap))
+    streamed = {key: kernels for key, _, kernels in streams}
     for n in range(bar.cap):
         for s, words in bar.blocks(n).items():
-            pivot_words, kernels = struct(bar, n, s)
+            pivot_words, kernels = reference_forward_stream(bar, n, s)
+            assert bases[(n, s)].pivot_words == pivot_words
+            got = streamed.get((n, s), [])
+            assert got == kernels[:len(got)]
+            assert len(got) >= bar.dims(n).get(s, 0)
             assert len(pivot_words) == bar.rank(n, s)
             pivots = set(pivot_words)
             assert pivot_words == [w for w in words if w in pivots]
@@ -270,41 +308,22 @@ def test_block_elimination_properties(bar):
                 assert {i: kernel.get(i, 0) for i in free} == {i: int(i == j) for i in free}
 
 
-def reference_column_echelon(field, columns, height):
-    """Pivot positions and free-variable kernels, keyed by position, with
-    row i stored at height - 1 - i and column j tagged at height + j."""
-    p = field.p
-    top = height - 1
-    elim = Eliminator(field)
-    pivots, kernels = [], []
-    for j, col in enumerate(columns):
-        row = {top - i: c % p for i, c in col.items() if c % p}
-        row[height + j] = 1
-        if min(row) in elim.pivots:
-            row = elim._reduce(row)
-        if min(row) < height:
-            elim.add_row(row)
-            pivots.append(j)
-        else:
-            kernels.append({t - height: c for t, c in row.items()})
-    return pivots, kernels
-
-
 @settings(max_examples=25, deadline=None)
 @given(small_bars())
 def test_struct_matches_the_position_indexed_reference(bar):
-    # the target blocks of the top length come from a bar one cap higher
+    # rows at the positions of the whole target block; the target blocks
+    # of the top length come from a bar one cap higher
     above = build_bar(bar.algebra, bar.cap + 1)
+    bases, streams = built_bases(bar, reversed(range(bar.cap)))
+    streamed = {key: kernels for key, _, kernels in streams}
     for n in range(bar.cap):
-        for s, words in bar.blocks(n).items():
-            images = [in_positions(above, n + 1, s, bar.d_cochain({w: 1}))
-                      for w in words]
-            height = len(above.blocks(n + 1).get(s, []))
-            pivots, kernels = reference_column_echelon(bar.field, images, height)
-            pivot_words, got = struct(bar, n, s)
-            assert pivot_words == [words[j] for j in pivots]
+        for s in bar.blocks(n):
+            pivot_words, kernels = reference_forward_stream(
+                bar, n, s, above.blocks(n + 1).get(s, []))
+            assert bases[(n, s)].pivot_words == pivot_words
+            got = streamed.get((n, s), [])
             assert [list(k.items()) for k in got] == [
-                [(words[j], c) for j, c in k.items()] for k in kernels]
+                list(k.items()) for k in kernels[:len(got)]]
 
 
 def random_cochain(rng, bar, words):
@@ -355,9 +374,10 @@ def test_block_basis_coordinates_rebuild_the_vector(bar):
     for n in range(bar.cap):
         for s, words in bar.blocks(n).items():
             basis = coh.block_basis(n, s)
-            assert basis.b_words == (struct(bar, n - 1, s)[0] if n > 0 else [])
+            assert basis.b_words == (
+                reference_forward_stream(bar, n - 1, s)[0] if n > 0 else [])
             b_vecs = [bar.d_cochain({w: 1}) for w in basis.b_words]
-            pivot_cols = set(struct(bar, n, s)[0])
+            pivot_cols = set(reference_forward_stream(bar, n, s)[0])
             for w in words:
                 b, r, u = basis.coords({w: 1})
                 assert set(u) <= pivot_cols
@@ -380,11 +400,11 @@ class ReferenceBlockBasis:
         self.elim = Eliminator(bar.field)
         self.b_words = []
         if n > 0:
-            self.b_words = struct(bar, n - 1, s)[0]
+            self.b_words = reference_forward_stream(bar, n - 1, s)[0]
             for w in self.b_words:
                 self._add(in_positions(bar, n, s, bar.d_cochain({w: 1})))
         self.reps = []
-        pivot_words, kernels = struct(bar, n, s)
+        pivot_words, kernels = reference_forward_stream(bar, n, s)
         for kernel in kernels:
             kernel = in_positions(bar, n, s, kernel)
             rep = {i: c for i, c in self.elim.reduce(kernel).items()
@@ -423,14 +443,15 @@ class ReferenceBlockBasis:
 def test_block_basis_matches_the_reference_with_u_rows(bar, seed):
     rng = random.Random(seed)
     p = bar.field.p
+    coh = bar.cohomology()
     for n in range(bar.cap):
         for s, words in bar.blocks(n).items():
-            basis = BlockBasis(bar, n, s)
+            basis = coh.block_basis(n, s)
             ref = ReferenceBlockBasis(bar, n, s)
             assert basis.b_words == ref.b_words
             assert basis.reps == [{words[i]: c for i, c in rep.items()}
                                   for rep in ref.reps]
-            pivot_cols = struct(bar, n, s)[0]
+            pivot_cols = reference_forward_stream(bar, n, s)[0]
             cochains = [{w: 1} for w in words]
             for _ in range(5):
                 k = rng.randint(1, len(words))
@@ -443,57 +464,36 @@ def test_block_basis_matches_the_reference_with_u_rows(bar, seed):
                 assert u == {pivot_cols[k]: c for k, c in ru.items()}
 
 
-def bases_in_order(bar, order):
-    """Every block basis, built in the given order of lengths, and the
-    kernel streams started while building them, call by call, as pairs
-    (block of the basis, block eliminated)."""
-    calls = []
-    building = None
-    kernels = bar.kernels
-
-    def record(n, s):
-        calls.append((building, (n, s)))
-        return kernels(n, s)
-
-    bar.kernels = record
-    bases = {}
-    for n in order:
-        for s in bar.blocks(n):
-            building = (n, s)
-            bases[building] = BlockBasis(bar, n, s)
-    return bases, calls
-
-
 @settings(max_examples=25, deadline=None)
 @given(small_bars())
 def test_block_bases_agree_in_either_order(bar):
     fresh = build_bar(bar.algebra, bar.cap)
-    up, up_calls = bases_in_order(bar, range(bar.cap))
-    down, down_calls = bases_in_order(fresh, reversed(range(bar.cap)))
-    # a basis eliminates its own block only when it holds classes, and
-    # stops that stream at the last representative, so nothing is cached;
-    # it eliminates the block below in full for its B words unless that
-    # is cached.  Either way each block below is eliminated once for its
-    # pivot words, and each block with classes once for its own
+    up, up_streams = built_bases(bar, range(bar.cap))
+    down, down_streams = built_bases(fresh, reversed(range(bar.cap)))
+    # a basis streams its own block's kernels only when it holds classes,
+    # and reads its B words off the basis below, so each block with
+    # classes is streamed exactly once, for its own basis, and no other
+    # block is streamed at all
     with_classes = {(n, s) for n in range(bar.cap) for s in bar.dims(n)}
-    below = {(n - 1, s) for n in range(1, bar.cap) for s in bar.blocks(n)}
-    want = collections.Counter(with_classes) + collections.Counter(below)
-    for calls in (up_calls, down_calls):
-        assert {key for key, elim in calls if elim == key} == with_classes
-        assert all(elim in (key, (key[0] - 1, key[1])) for key, elim in calls)
-        counts = collections.Counter(elim for _, elim in calls)
-        assert counts == want
-        assert max(counts.values()) <= 2
+    for streams in (up_streams, down_streams):
+        assert collections.Counter(key for key, _, _ in streams) == \
+            collections.Counter(with_classes)
+        for (n, s), read, _ in streams:
+            assert read == bar.blocks(n)[s][:len(read)]
     for (n, s), basis in up.items():
         other = down[(n, s)]
         assert other.b_words == basis.b_words
         assert other.reps == basis.reps
+        assert other.pivot_words == basis.pivot_words
         for w in bar.blocks(n)[s]:
             assert other.coords({w: 1}) == basis.coords({w: 1})
-    for b in (bar, fresh):
+    for b, bases in ((bar, up), (fresh, down)):
         for n in range(bar.cap):
             for s in bar.blocks(n):
-                assert b.pivots(n, s) == struct(b, n, s)[0]
+                pivot_words = reference_forward_stream(b, n, s)[0]
+                assert bases[(n, s)].pivot_words == pivot_words
+                if n + 1 < bar.cap and s in bar.blocks(n + 1):
+                    assert bases[(n + 1, s)].b_words == pivot_words
 
 
 def test_block_basis_raises_when_the_kernels_run_out(monkeypatch):
@@ -502,12 +502,12 @@ def test_block_basis_raises_when_the_kernels_run_out(monkeypatch):
     bar = build_bar(build_group_algebra("cyclic(3^2)"), 5)
     n, s = next((n, s) for n in range(1, bar.cap) for s in bar.dims(n)
                 if bar.rank(n, s))
-    BlockBasis(bar, n, s)
+    b_words = bar.cohomology().block_basis(n, s).b_words
     rank = bar.rank
     monkeypatch.setattr(bar, "rank",
                         lambda m, t: rank(m, t) - ((m, t) == (n, s)))
     with pytest.raises(AssertionError, match="basis does not span"):
-        BlockBasis(bar, n, s)
+        BlockBasis(bar, n, s, b_words)
 
 
 def test_block_basis_checks_its_pivot_words_against_the_rank(monkeypatch):
@@ -515,39 +515,61 @@ def test_block_basis_checks_its_pivot_words_against_the_rank(monkeypatch):
     # boundary than the pivot words it gives
     bar = build_bar(build_group_algebra("cyclic(3^2)"), 5)
     n, s = next((n, s) for n in range(1, bar.cap) for s in bar.dims(n)
-                if bar.pivots(n - 1, s))
+                if bar.rank(n - 1, s))
+    b_words = bar.cohomology().block_basis(n, s).b_words
     rank = bar.rank
     monkeypatch.setattr(bar, "rank",
                         lambda m, t: rank(m, t) + ((m, t) == (n - 1, s)))
     with pytest.raises(AssertionError, match=re.escape(f"block ({n}, {s})")):
-        BlockBasis(bar, n, s)
+        BlockBasis(bar, n, s, b_words)
+
+
+def test_a_rank_too_high_makes_the_basis_above_singular(monkeypatch):
+    # rank(n, s) one too high on a block with classes: its basis still
+    # spans, one class short, so its pivot words hold a free word, whose
+    # image as a B word of the block above depends on the others
+    bar = build_bar(build_group_algebra("cyclic(3^2)"), 5)
+    coh = bar.cohomology()
+    n, s = next((n, s) for n in range(bar.cap - 1) for s in bar.dims(n)
+                if s in bar.blocks(n + 1))
+    rank = bar.rank
+    monkeypatch.setattr(bar, "rank",
+                        lambda m, t: rank(m, t) + ((m, t) == (n, s)))
+    assert len(coh.block_basis(n, s).pivot_words) == rank(n, s) + 1
+    with pytest.raises(AssertionError, match="block basis is singular"):
+        coh.block_basis(n + 1, s)
 
 
 def test_block_bases_build_few_rows(monkeypatch):
-    # the Z/9 op table to arity 3, degree 5 builds 11,033 rows when every
-    # basis eliminates its own block in full.  A basis of a block without
-    # classes must not eliminate that block, and a block with classes
-    # stops at its last representative
+    # the Z/9 op table to arity 3, degree 5 builds 5,602 rows, 4,176 of
+    # them in the ranks: 11,033 when every basis eliminates its own block
+    # in full, 6,385 when the B words come from a full forward stream of
+    # the block below.  A basis of a block without classes must not
+    # eliminate that block, a block with classes streams its kernels once
+    # and stops at its last representative, and no other block is streamed
     bar = build_bar(build_group_algebra("cyclic(3^2)"), 6)
     rows, streams, building, built = [], [], [], set()
-    d_packed, kernels, init = bar._d_packed, bar.kernels, BlockBasis.__init__
+    d_packed, init = bar._d_packed, BlockBasis.__init__
 
-    def build(basis, bar, n, s):
+    def build(basis, bar, n, s, b_words):
         building.append((n, s))
         built.add((n, s))
-        init(basis, bar, n, s)
+        init(basis, bar, n, s, b_words)
         building.pop()
 
     monkeypatch.setattr(bar, "_d_packed",
                         lambda *args: rows.append(1) or d_packed(*args))
-    monkeypatch.setattr(bar, "kernels", lambda n, s: streams.append(
-        (building[-1] if building else None, (n, s))) or kernels(n, s))
+    monkeypatch.setattr(bar_module, "column_echelon", lambda elim, columns: (
+        streams.append((building[-1], elim)) or column_echelon(elim, columns)))
     monkeypatch.setattr(BlockBasis, "__init__", build)
     transfer(bar, 3, 5)
-    assert len(rows) <= 8_000
+    assert len(rows) <= 6_200
     with_classes = {(n, s) for n in range(bar.cap) for s in bar.dims(n)}
     assert built - with_classes
-    assert {key for key, elim in streams if elim == key} <= with_classes
+    bases = bar.cohomology()._bases
+    assert collections.Counter(key for key, elim in streams
+                               if elim is not bases[key].elim) == \
+        collections.Counter(built & with_classes)
 
 
 @functools.lru_cache(maxsize=None)
@@ -644,7 +666,7 @@ def test_packed_differential_matches_tuple_expansion(bar):
                 assert list(got.items()) == list(row.items()), w
             if n < bar.cap:
                 rank = bar.rank(n, s)
-                assert rank == len(struct(bar, n, s)[0])
+                assert rank == len(reference_forward_stream(bar, n, s)[0])
                 assert rank == len(rref_rows(bar.field, rows))
 
 
@@ -738,7 +760,8 @@ def test_block_ranks_do_not_depend_on_call_order(spec, cap):
     for n in range(cap):
         for s in up.blocks(n):
             rank = up.rank(n, s)
-            assert down.rank(n, s) == rank == len(struct(up, n, s)[0])
+            pivot_words = reference_forward_stream(up, n, s)[0]
+            assert down.rank(n, s) == rank == len(pivot_words)
     assert down._leads == up._leads == {}
 
 

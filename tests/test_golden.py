@@ -8,6 +8,7 @@ for the argv listed below.  A refactor must leave every file unchanged;
 changing one is a declared behaviour change.
 """
 
+import hashlib
 import pathlib
 
 import pytest
@@ -63,3 +64,12 @@ def test_report_matches_golden(name):
     code, text, _ = cli.run_report(CASES[name] + ["--format", "json", "--no-cache"])
     assert code == 0
     assert text.encode("utf-8") == (GOLDEN / f"{name}.json").read_bytes()
+
+
+def test_cli_default_z9_transfer_report_is_pinned():
+    # transfer at its CLI defaults, arity 4 and degree 6, on cyclic(3^2):
+    # the largest report the golden specs reach, pinned by its SHA-256
+    code, text, _ = cli.run_report(["transfer", "--spec", "cyclic(3^2)", "--no-cache"])
+    assert code == 0
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
+        "e2c3320f01384b9feb32e6a4cc5c385742ded76a874e1d094b2a336f88f5b311")

@@ -66,10 +66,13 @@ def test_rref_unique_known_example():
 
 
 def echelon(elim, columns):
-    """Pivot keys and kernels from one full run of column_echelon."""
-    pivots = []
-    kernels = list(column_echelon(elim, columns, pivots))
-    return pivots, kernels
+    """Pivot keys and kernels from one full run of column_echelon, keys
+    ascending: the pivot keys are all keys but the free ones, and the free
+    key of a kernel is its largest."""
+    columns = list(columns)
+    kernels = list(column_echelon(elim, columns))
+    free = {max(kernel) for kernel in kernels}
+    return [j for j, _ in columns if j not in free], kernels
 
 
 def test_kernel_free_variable_rule():
@@ -161,13 +164,16 @@ def test_column_echelon_streams_its_kernels(m):
     free = [j for j in range(cols) if j not in pivots]
     for k in range(len(kernels) + 1):
         # a reader that stops after k kernels gets the first k, and only
-        # the columns up to the k-th free one have been read
-        seen = []
+        # the columns up to the k-th free one have been read; the pivot
+        # rows stored so far are those of the pivots before it, each with
+        # its own key as its largest tag
+        elim = Eliminator(f)
         read = iter(columns)
-        stream = column_echelon(Eliminator(f), read, seen)
+        stream = column_echelon(elim, read)
         assert list(itertools.islice(stream, k)) == kernels[:k]
         last = free[k - 1] if k else -1
-        assert seen == [j for j in pivots if j < last]
+        assert sorted(max(row) for row in elim.pivots.values()) == [
+            j for j in pivots if j < last]
         assert next(read, (cols, None))[0] == last + 1
 
 

@@ -36,6 +36,7 @@ def cup_all(p, *reps):
     ("cyclic(2^2)", 6),
     ("cyclic(5^1)", 5),
     ("semidirect(cyclic(3^1), inversion)", 5),
+    ("semidirect(torus(2,1,2), Z3:[[0,1],[1,1]])", 5),
 ])
 def test_sdr_identities_hold_exactly(spec, cap):
     alg = build_group_algebra(spec)
