@@ -18,6 +18,16 @@ Letter weights are the algebra's weights, plain integers over p^top, top
 the largest depth, so word degrees are sums of ints; an InternalDegree is
 built only for a block key.
 
+Blocks are counted before they are built.  census(n) gives the size of
+every block of length n from the letter weights alone, and dims reads
+its sizes there.  The words of block (n, s) starting with letter u
+are u followed by the words of block (n - 1, s - wt(u)), so a block is a
+list of first-letter runs (u, tails) over the words one length down.
+The blocks below length cap - 1 are built a whole length at a time when
+first read and held, as the tails of the length above; a block of length
+cap - 1, the largest length by far, is built each time it is read and
+never held, and rank walks its runs without building it.
+
 A word has one form throughout: the packed integer, or code, whose n
 fields of dim.bit_length() bits hold its n letters, the first letter in
 the highest field.  Letters are the basis indices 1..dim-1, since index 0
@@ -60,6 +70,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+from collections.abc import Mapping
 from typing import Optional
 
 from .grading import BigradedSpace, InternalDegree, internal_zero
@@ -103,7 +114,9 @@ class BarComplex:
         self.bits = algebra.dim.bit_length()
         self._comult = self._build_comult()
         self._heads = self._lead_pairs()
-        self._blocks: dict[int, dict[InternalDegree, list[int]]] = {}
+        self._census: dict[int, dict[int, int]] = {}
+        # codes of the blocks below length cap - 1, by length, then weight
+        self._held: dict[int, dict[int, list[int]]] = {}
         self._ranks: dict[tuple[int, InternalDegree], int] = {}
         # pivot leads of rank(n, s), kept for rank(n + 1, s) to pop
         self._leads: dict[tuple[int, InternalDegree], set[int]] = {}
@@ -154,14 +167,10 @@ class BarComplex:
         """Smallest target of d of the word of length n, read off its
         letters through _lead_pairs: 0 when d of the word is 0, None on a
         tie the heads cannot settle (see rank).  The first letter whose
-        head settles, the common case, gives the lead of its suffix; the
-        letters before it are folded in from the last."""
+        head settles gives the lead of its suffix; the letters before it
+        are folded in from the last.  rank reads the leads of words whose
+        first letter settles a run at a time, and asks here for the rest."""
         bits, heads = self.bits, self._heads
-        if n:
-            shift = bits * (n - 1)
-            ab = heads[code >> shift]
-            if ab > 0:
-                return ab << shift | code & ((1 << shift) - 1)
         shift, lead, open_ = bits * n, 0, []
         while shift:
             shift -= bits
@@ -183,37 +192,67 @@ class BarComplex:
                 lead = head
         return lead
 
-    def blocks(self, n: int) -> dict[InternalDegree, list[int]]:
-        """Codes of the words of length n grouped by internal degree, lex
-        order inside; keys in order of first appearance.  Only the words
-        of length n - 1 are held as (code, weight) pairs; the last letter
-        goes straight into the blocks."""
-        cached = self._blocks.get(n)
-        if cached is not None:
-            return cached
+    def census(self, n: int) -> dict[int, int]:
+        """Word count of every block of length n, keyed by internal weight,
+        with no word built; any n, the cap does not bound it.  The letter
+        weights, in letter order, are convolved with the census one length
+        down, in its order.  The lex-first word of a weight starts with
+        the first letter that reaches it, followed by the lex-first word
+        of the rest, so the keys come in the order of their first word in
+        lex order, the order of blocks(n)."""
+        got = self._census.get(n)
+        if got is None:
+            got = {0: 1}
+            if n:
+                below, got = self.census(n - 1), {}
+                for u in self.letters:
+                    for wt, c in below.items():
+                        wt += self.letter_wt[u]
+                        got[wt] = got.get(wt, 0) + c
+            self._census[n] = got
+        return got
+
+    def blocks(self, n: int) -> "_Blocks":
+        """Read-only view of the blocks of length n: codes in lex order,
+        keyed by internal degree in census order.  Making the view builds
+        no word; reading a block builds it, and below length cap - 1 its
+        whole length, which is held."""
         if n >= self.cap:
             raise ValueError(f"degree {n} beyond the words built, "
                              f"lengths 0..{self.cap - 1}")
-        bits = self.bits
-        pairs = [(u, self.letter_wt[u]) for u in self.letters]
-        prefixes = [(0, 0)]
-        for _ in range(n - 1):
-            prefixes = [((code << bits) | u, wt + uwt)
-                        for code, wt in prefixes for u, uwt in pairs]
-        by_wt: dict[int, list[int]] = {}
+        return _Blocks(self, n)
+
+    def _runs(self, n: int, wt: int) -> list[tuple[int, list[int]]]:
+        """Block (n, wt) as first-letter runs (u, tails), u in letter
+        order: its words, in lex order, are u followed by each word of
+        tails, the block (n - 1, wt - wt(u)), for each u it holds.  The
+        empty word is the one run (0, [0]) of block (0, 0), 0 standing
+        for no letter; 0 is the unit, never a letter, and has no head."""
         if n == 0:
-            by_wt[0] = [0]
-        else:
-            for code, wt in prefixes:
-                code <<= bits
-                for u, uwt in pairs:
-                    by_wt.setdefault(wt + uwt, []).append(code | u)
-        blocks = {self._degree(wt): codes for wt, codes in by_wt.items()}
-        self._blocks[n] = blocks
-        return blocks
+            return [(0, [0])] if wt == 0 else []
+        below, weights = self._held_length(n - 1), self.letter_wt
+        return [(u, below[wt - weights[u]])
+                for u in self.letters if wt - weights[u] in below]
+
+    def _held_length(self, n: int) -> dict[int, list[int]]:
+        """Every block of length n < cap - 1 by weight, built once, in
+        census order, and held: they are the tails of the length above."""
+        got = self._held.get(n)
+        if got is None:
+            got = self._held[n] = {wt: self._enumerate(n, wt)
+                                   for wt in self.census(n)}
+        return got
+
+    def _enumerate(self, n: int, wt: int) -> list[int]:
+        """Codes of block (n, wt) in lex order, read off its runs."""
+        shift = self.bits * max(n - 1, 0)
+        return [u << shift | t for u, tails in self._runs(n, wt) for t in tails]
 
     def _degree(self, wt: int) -> InternalDegree:
         return InternalDegree(self.field.p, wt, self.algebra.top)
+
+    def _weight(self, s: InternalDegree) -> int:
+        return s.num * self.field.p ** (self.algebra.top - s.pexp)
 
     def decode(self, code: int) -> list[int]:
         """Letters of a word, first letter first."""
@@ -272,9 +311,10 @@ class BarComplex:
     def rank(self, n: int, s: InternalDegree) -> int:
         """Rank of the differential leaving block (n, s).
 
-        Source words are fed in reverse lex order: the lead target of a
-        split row then tends to be unoccupied on arrival, which keeps the
-        elimination near-triangular.  Rows are keyed by target codes,
+        Source words are fed in reverse lex order, a first-letter run at a
+        time (_runs), and the block's list is never built: the lead target
+        of a split row then tends to be unoccupied on arrival, which keeps
+        the elimination near-triangular.  Rows are keyed by target codes,
         whose order is the lex order of the words.
 
         The letter order matters for the cost, not for the rank.  Were
@@ -316,7 +356,10 @@ class BarComplex:
         read as 0 is skipped.  When a read lead is free, the pivot table
         (_PivotRows) stores the word's code in place of its row, and the
         first reduction that reads the pivot builds the row.  Otherwise
-        (a tie, or the lead taken) the row is built and inserted.
+        (a tie, or the lead taken) the row is built and inserted.  Within a
+        run whose letter u settles (a < u) the lead of [u|tail] is
+        [a|b|tail], ab << shift | tail, read with no call; every other
+        word asks _word_lead, the empty word too.
 
         An inserted row is reduced only until its lead is free
         (_PivotRows.insert), not against every pivot it touches.  Full
@@ -338,33 +381,39 @@ class BarComplex:
         cached = self._ranks.get(key)
         if cached is not None:
             return cached
-        if n > 0 and s in self.blocks(n - 1):
+        wt = self._weight(s)
+        if n > 0 and wt in self.census(n - 1):
             self.rank(n - 1, s)
         leads = self._leads.pop((n - 1, s), ())
         pivots = _PivotRows(self.field.p, lambda code: self._d_packed(code, n))
-        for code in reversed(self.blocks(n).get(s, [])):
-            if code in leads:
-                continue
-            lead = self._word_lead(code, n)
-            if lead is None or lead in pivots:
-                pivots.insert(self._d_packed(code, n))
-            elif lead:
-                pivots[lead] = code
+        shift = self.bits * max(n - 1, 0)
+        for u, tails in reversed(self._runs(n, wt)):
+            high, ab = u << shift, self._heads[u] << shift
+            for t in reversed(tails):
+                code = high | t
+                if code in leads:
+                    continue
+                lead = ab | t if ab > 0 else self._word_lead(code, n)
+                if lead is None or lead in pivots:
+                    pivots.insert(self._d_packed(code, n))
+                elif lead:
+                    pivots[lead] = code
         if pivots and n + 1 < self.cap:
             self._leads[key] = set(pivots)
         self._ranks[key] = len(pivots)
         return len(pivots)
 
     def dims(self, n: int) -> dict[InternalDegree, int]:
-        """Cohomology dimensions in degree n < cap, per internal block."""
+        """Cohomology dimensions in degree n < cap, per internal block,
+        block sizes read off the census."""
         if n >= self.cap:
             raise ValueError(f"cohomology is reported up to cap - 1 = {self.cap - 1}")
         out: dict[InternalDegree, int] = {}
-        degrees = set(self.blocks(n).keys())
-        if n > 0:
-            degrees |= set(self.blocks(n - 1).keys())
-        for s in sorted(degrees):
-            size = len(self.blocks(n).get(s, []))
+        census = self.census(n)
+        below = self.census(n - 1) if n > 0 else {}
+        for wt in sorted(census.keys() | below.keys()):
+            s = self._degree(wt)
+            size = census.get(wt, 0)
             cut = self.rank(n, s)
             prev = self.rank(n - 1, s) if n > 0 else 0
             dim = size - cut - prev
@@ -397,6 +446,37 @@ class BarComplex:
         if self._cohomology is None:
             self._cohomology = CohomologyData(self)
         return self._cohomology
+
+
+class _Blocks(Mapping):
+    """BarComplex.blocks(n): internal degree -> codes of the block, keys
+    from the census.  Reading a block builds it, or reads it held; a
+    membership test or a key walk builds nothing."""
+
+    __slots__ = ("bar", "n", "census")
+
+    def __init__(self, bar: BarComplex, n: int):
+        self.bar = bar
+        self.n = n
+        self.census = bar.census(n)
+
+    def __getitem__(self, s: InternalDegree) -> list[int]:
+        """Held below length cap - 1, enumerated on each read at cap - 1."""
+        bar, wt = self.bar, self.bar._weight(s)
+        if wt not in self.census:
+            raise KeyError(s)
+        if self.n < bar.cap - 1:
+            return bar._held_length(self.n)[wt]
+        return bar._enumerate(self.n, wt)
+
+    def __contains__(self, s) -> bool:
+        return self.bar._weight(s) in self.census
+
+    def __iter__(self):
+        return map(self.bar._degree, self.census)
+
+    def __len__(self) -> int:
+        return len(self.census)
 
 
 class _PivotRows(dict):

@@ -19,6 +19,7 @@ from ainfbar.linalg import Eliminator, column_echelon, rref_rows, vec_add_scaled
 from ainfbar.transfer import transfer
 from packed import pack, pack_cochain, unpack, unpack_cochain
 from reference import reference_comult, reference_forward_stream
+from test_groups import ORACLE_SPECS
 
 
 @pytest.mark.parametrize("spec,cap", [
@@ -626,6 +627,97 @@ def test_word_enumeration_matches_internal_degree_reference(bar):
             assert all(word_degree(bar, w) == s for w in words)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(ORACLE_SPECS), st.integers(0, 5))
+# Weyl letters, mixed depths, and the 17-letter algebra
+@example("semidirect(cyclic(5^1), inversion)", 4)
+@example("cyclic(2^1) x cyclic(2^2)", 4)
+@example("semidirect(torus(3,1,2), inversion)", 2)
+def test_census_counts_the_blocks_the_view_builds(spec, n):
+    # the census gives every block's size, in the key order of the words
+    # built whole, first word in lex order; the view's keys are the
+    # census's, and each block is the reference's, lex order inside
+    alg = cached_algebra(spec)
+    letters = alg.dim - 1
+    n = min(n, max(m for m in range(1, 6) if letters ** m <= 5000))
+    bar = build_bar(alg, n + 1)
+    census = bar.census(n)
+    assert sum(census.values()) == letters ** n
+    refs = reference_blocks(bar, n)
+    view = bar.blocks(n)
+    assert list(view) == [bar._degree(wt) for wt in census] == list(refs)
+    for s, words in refs.items():
+        assert census[bar._weight(s)] == len(view[s]) == len(words)
+        assert [unpack(bar, w) for w in view[s]] == words
+    # the blocks of length n are the top length, read but never held
+    assert all(m < n for m in bar._held)
+
+
+@pytest.mark.parametrize("spec,n,blocks,largest", [
+    ("semidirect(torus(3,1,2), inversion)", 6, 25, 3_569_664),
+    ("cyclic(3^2)", 7, 50, 134_512),
+])
+def test_census_sizes_blocks_past_the_cap(spec, n, blocks, largest):
+    # 17^6 and 8^7 words, counted without one being built
+    bar = build_bar(cached_algebra(spec), 2)
+    census = bar.census(n)
+    assert (len(census), max(census.values())) == (blocks, largest)
+    assert sum(census.values()) == len(bar.letters) ** n
+    assert bar._held == {}
+
+
+def test_blocks_builds_no_word_until_a_block_is_read(monkeypatch):
+    bar = build_bar(cached_algebra("cyclic(3^2)"), 4)
+    runs = []
+    real = bar._runs
+    monkeypatch.setattr(bar, "_runs",
+                        lambda n, wt: runs.append((n, wt)) or real(n, wt))
+    view = bar.blocks(3)
+    keys = list(view)
+    assert len(view) == len(bar.census(3)) == len(keys)
+    assert all(s in view for s in keys)
+    assert internal_zero(3) - InternalDegree(3, 1) not in view
+    assert view.get(InternalDegree(3, 100)) is None
+    assert runs == [] and bar._held == {}
+    s = keys[-1]
+    words = view[s]
+    assert len(words) == bar.census(3)[bar._weight(s)]
+    assert runs and max(bar._held) == 2
+    # the top length is built again on each read, never held
+    again = view[s]
+    assert again == words and again is not words
+
+
+def test_cohomology_holds_no_word_list_of_the_top_length():
+    # rank walks the blocks of length cap - 1 a run at a time: after every
+    # rank, no list the bar can reach holds a word of that length, and
+    # only the blocks below it are held
+    bar = build_bar(cached_algebra("semidirect(torus(3,1,2), inversion)"), 5)
+    bar.cohomology()
+    assert max(bar._held) == bar.cap - 2
+    below_top = 1 << bar.bits * (bar.cap - 2)
+    seen, lists = set(), []
+    stack = [v for k, v in vars(bar).items() if k not in ("algebra", "field")]
+    stack.append(vars(bar.cohomology()))
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, dict):
+            stack.extend(obj.keys())
+            stack.extend(obj.values())
+        elif isinstance(obj, (list, tuple, set)):
+            stack.extend(obj)
+            if isinstance(obj, list):
+                lists.append(obj)
+    held = [words for blocks in bar._held.values() for words in blocks.values()]
+    assert sum(map(len, held)) == 1 + 17 + 17 ** 2 + 17 ** 3
+    assert {id(words) for words in held} <= set(map(id, lists))
+    assert not any(type(x) is int and x >= below_top
+                   for words in lists for x in words)
+
+
 def reference_d_row(bar, comult, word):
     """d of a word by the tuple expansion: letter i (from 0) is split into
     every [a|b] of the comultiplication, with sign (-1)^(i+1)."""
@@ -725,6 +817,8 @@ def test_rank_feeds_only_a_complement_of_the_boundaries(monkeypatch, spec, cap):
     coh = bar.cohomology()
     assert len(zeros) + len(known) == len(coh.space.labels()) == 6
     assert zeros and known
+    # the empty word, class h0, is read as zero at length 0
+    assert 0 in known
     assert all(bar.d_cochain({code: 1}) == {} for code in known)
 
 
@@ -892,11 +986,13 @@ def table_items(table):
 def test_deferred_pivot_rows_equal_the_eager_ones(monkeypatch, spec, a_major):
     # forcing every pivot that rank holds as a word gives the leads and
     # rows, item order included, of a table fed every row through insert,
-    # in rank's order over the same complement of the boundaries; and the
-    # leads, in order, are those of an Eliminator that fully reduces the
-    # same rows.  With the letters relabelled a-major, X^a and X^a w read
-    # the same lead off the word, so some read leads are taken and those
-    # rows are inserted
+    # in rank's order over the same complement of the boundaries (a word
+    # whose first letter settles has its lead read off its tail, with no
+    # _word_lead call).  The leads, in order, are those of an Eliminator
+    # that fully reduces the same rows.  With the letters relabelled
+    # a-major, X^a and X^a w read the same lead off the word, so some read
+    # leads are taken and those rows are inserted, and some leads below
+    # start with a letter that settles
     bar = build_bar(build_group_algebra(spec), 5)
     ranks = None
     if a_major:
@@ -907,7 +1003,8 @@ def test_deferred_pivot_rows_equal_the_eager_ones(monkeypatch, spec, a_major):
     tables, fed, taken = [], [], []
 
     class Recording(_PivotRows):
-        # fed gets each deferred word's code and a copy of each inserted row
+        # fed gets each deferred word's code and a copy of each inserted
+        # row; taken each inserted row whose smallest word is a pivot
         def __init__(self, p, build):
             super().__init__(p, build)
             tables.append(self)
@@ -919,24 +1016,24 @@ def test_deferred_pivot_rows_equal_the_eager_ones(monkeypatch, spec, a_major):
 
         def insert(self, v):
             fed.append(dict(v))
+            if min(v) in self:
+                taken.append(v)
             return super().insert(v)
 
-    def recording_lead(code, n):
-        lead = word_lead(code, n)
-        if lead and lead in tables[-1]:
-            taken.append(code)
-        return lead
-
     monkeypatch.setattr("ainfbar.bar._PivotRows", Recording)
-    word_lead = bar._word_lead
-    monkeypatch.setattr(bar, "_word_lead", recording_lead)
-    deferred = 0
+    deferred, below = 0, {}
     for n in range(bar.cap):
         for s in bar.blocks(n):
             tables.clear()
             fed.clear()
             bar.rank(n, s)
             (pivots,) = tables
+            # one row or code per word off the leads below whose d is not
+            # 0; a-major, the leads below hold words of settled runs too
+            leads = below.get((n - 1, s), set())
+            assert len(fed) == sum(1 for w in bar.blocks(n)[s]
+                                   if w not in leads and bar._d_packed(w, n))
+            below[(n, s)] = set(pivots)
             deferred += sum(type(row) is int for row in pivots.values())
             for lead, row in pivots.items():
                 if type(row) is int:
