@@ -73,7 +73,7 @@ import math
 from collections.abc import Mapping
 from typing import Optional
 
-from .grading import BigradedSpace, InternalDegree, internal_zero
+from .grading import BigradedMap, BigradedSpace, InternalDegree
 from .linalg import Eliminator, column_echelon, vec_add_scaled
 from .groups import AlgebraMap, GradedGroupAlgebra
 
@@ -799,7 +799,6 @@ class Restriction:
 
     def on_cohomology(self):
         """BigradedMap from the source cohomology to the target cohomology."""
-        from .grading import BigradedMap
         hc = self.high.cohomology()
         lc = self.low.cohomology()
         entries: dict[tuple[str, str], int] = {}
@@ -810,8 +809,7 @@ class Restriction:
                 continue
             for lo_label, c in lc.reduce_cocycle(image).items():
                 entries[(lo_label, label)] = c
-        return BigradedMap(hc.space, lc.space, 0,
-                           internal_zero(self.high.field.p), entries)
+        return BigradedMap(hc.space, lc.space, entries)
 
 
 def restriction(high: BarComplex, low: BarComplex, fmap: AlgebraMap) -> Restriction:

@@ -11,6 +11,7 @@ per (cohomological, internal) block.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
@@ -69,28 +70,11 @@ class TorusModel:
     def monomials(self, cohdeg: int) -> list[Mono]:
         if cohdeg in self._monos:
             return self._monos[cohdeg]
-        r = self.rank
-        t_slots = [i for i in range(r) if self._tdeg[i] is not None]
-        out: list[Mono] = []
-
-        def exps(total: int, slots: int) -> list[tuple[int, ...]]:
-            if slots == 1:
-                return [(total,)]
-            acc = []
-            for head in range(total + 1):
-                for tail in exps(total - head, slots - 1):
-                    acc.append((head,) + tail)
-            return acc
-
-        for k in range(min(len(t_slots), cohdeg) + 1):
-            rem = cohdeg - k
-            if rem % 2:
-                continue
-            for mask_bits in _subsets(t_slots, k):
-                eps = tuple(1 if i in mask_bits else 0 for i in range(r))
-                for exp in exps(rem // 2, r):
-                    out.append((eps, exp))
-        out.sort()
+        # an exterior mask has no t slot at colimit depth
+        t_ranges = [range(1 if t is None else 2) for t in self._tdeg]
+        out = sorted((eps, exp) for eps in itertools.product(*t_ranges)
+                     for exp in itertools.product(range(cohdeg // 2 + 1), repeat=self.rank)
+                     if sum(eps) + 2 * sum(exp) == cohdeg)
         self._monos[cohdeg] = out
         return out
 
@@ -168,16 +152,6 @@ class TorusModel:
         return result
 
 
-def _subsets(items: list[int], k: int) -> list[tuple[int, ...]]:
-    if k == 0:
-        return [()]
-    if k > len(items):
-        return []
-    head, rest = items[0], items[1:]
-    return ([(head,) + t for t in _subsets(rest, k - 1)]
-            + _subsets(rest, k))
-
-
 # -- invariants ------------------------------------------------------------
 
 @dataclass
@@ -205,7 +179,7 @@ def invariant_dims(model: TorusModel) -> InvariantReport:
     if order % p == 0:
         raise SpecError(f"|W| = {order} is divisible by p = {p}; "
                         "no averaging projector exists")
-    inv_order = model.field.inv(order % p)
+    inv_order = pow(order, -1, p)
     dims: list[int] = []
     basis: dict[int, list[dict[str, int]]] = {}
     by_degree: dict[int, list[dict[Mono, int]]] = {}

@@ -1,8 +1,8 @@
 """Bigraded bookkeeping: cohomological degree plus an internal Z[1/p] weight.
 
 Internal degrees are exact rationals a / p^e kept in lowest terms with
-respect to p.  Basis degrees are always non-negative; negative numerators
-are permitted only so that map shifts can be signed.
+respect to p.  Basis degrees are always non-negative; the arithmetic also
+accepts negative numerators.
 """
 
 from __future__ import annotations
@@ -36,13 +36,6 @@ class InternalDegree:
         e = max(self.pexp, other.pexp)
         num = (self.num * self.p ** (e - self.pexp)
                + other.num * self.p ** (e - other.pexp))
-        return InternalDegree(self.p, num, e)
-
-    def __sub__(self, other: "InternalDegree") -> "InternalDegree":
-        self._check(other)
-        e = max(self.pexp, other.pexp)
-        num = (self.num * self.p ** (e - self.pexp)
-               - other.num * self.p ** (e - other.pexp))
         return InternalDegree(self.p, num, e)
 
     def scaled(self, k: int) -> "InternalDegree":
@@ -123,15 +116,13 @@ class BigradedSpace:
 
 
 class BigradedMap:
-    """Graded linear map between BigradedSpaces with a fixed bidegree shift.
+    """Bidegree-preserving linear map between BigradedSpaces.
 
     Entries are sparse {(target_label, source_label): coeff}; every entry
-    must connect basis elements whose bidegrees differ by exactly
-    (coh_shift, int_shift).
+    must connect basis elements of the same bidegree.
     """
 
     def __init__(self, source: BigradedSpace, target: BigradedSpace,
-                 coh_shift: int, int_shift: InternalDegree,
                  entries: dict):
         if source.field != target.field:
             raise ValueError("field mismatch")
@@ -141,21 +132,15 @@ class BigradedMap:
             coeff %= p
             if not coeff:
                 continue
-            sc, ss = source.degrees(sl)
-            tc, ts = target.degrees(tl)
-            if tc - sc != coh_shift or (ts - ss) != int_shift:
-                raise ValueError(
-                    f"entry {sl!r} -> {tl!r} violates shift ({coh_shift}, {int_shift})")
+            if source.degrees(sl) != target.degrees(tl):
+                raise ValueError(f"entry {sl!r} -> {tl!r} changes the bidegree")
             clean[(tl, sl)] = coeff
         self.source = source
         self.target = target
-        self.coh_shift = coh_shift
-        self.int_shift = int_shift
         self.entries = clean
 
     def __repr__(self) -> str:
-        return (f"BigradedMap(shift=({self.coh_shift}, {self.int_shift}), "
-                f"nnz={len(self.entries)})")
+        return f"BigradedMap(nnz={len(self.entries)})"
 
 
 def doubling_check(space: BigradedSpace) -> tuple[bool, list]:

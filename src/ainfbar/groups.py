@@ -18,7 +18,9 @@ Group descriptions are parsed from a small grammar:
 
 with "colimit( ... )" around a spec whose depths are "inf" for the union over
 all depths.  "Z k : M" is the cyclic group of order k acting through the
-single generator matrix M; "inversion" is Z/2 acting by -identity.
+single generator matrix M.  A Weyl action is stored in that one form, the
+order k and the generator matrix; "inversion" is the grammar's name for Z2
+acting by -identity, read as that matrix and printed back by canonical_spec.
 """
 
 from __future__ import annotations
@@ -45,14 +47,10 @@ class SpecError(ValueError):
 
 @dataclass(frozen=True)
 class WeylSpec:
-    """Description of the acting group before realization.
-
-    kind "inversion": Z/2 through -I.  kind "cyclic": Z/k through one
-    generator matrix.
-    """
-    kind: str
-    k: int = 0
-    matrix: Optional[tuple[tuple[int, ...], ...]] = None
+    """The acting group before realization: Z/k through one generator
+    matrix, rowwise-reduced once parsed."""
+    k: int
+    matrix: tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -107,10 +105,10 @@ class _Parser:
         self.i += 1
         return tok
 
-    def expect(self, kind: str, value: str | None = None):
+    def expect(self, group: str, value: str | None = None):
         k, v, pos = self.next()
-        if k != kind or (value is not None and v != value):
-            want = value if value is not None else kind
+        if k != group or (value is not None and v != value):
+            want = value if value is not None else group
             raise SpecError(f"expected {want!r}, found {v!r}", pos)
         return v, pos
 
@@ -158,15 +156,14 @@ def _parse_matrix(ps: _Parser) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
-def _parse_weyl(ps: _Parser) -> WeylSpec:
+def _parse_weyl(ps: _Parser, rank: int) -> WeylSpec:
     k, v, pos = ps.next()
     if k == "name" and v == "inversion":
-        return WeylSpec("inversion", 2)
+        return WeylSpec(2, _scalar_matrix(-1, rank))
     if k == "name" and v == "Z":
         order, _ = ps.expect_int()
         ps.expect("sym", ":")
-        matrix = _parse_matrix(ps)
-        return WeylSpec("cyclic", order, matrix)
+        return WeylSpec(order, _parse_matrix(ps))
     raise SpecError(f"expected weyl action ('inversion' or 'Z k : matrix'), found {v!r}", pos)
 
 
@@ -199,7 +196,7 @@ def _parse_atom(ps: _Parser):
         if weyl is not None:
             raise SpecError("nested semidirect is not supported", pos)
         ps.expect("sym", ",")
-        w = _parse_weyl(ps)
+        w = _parse_weyl(ps, len(depths))
         ps.expect("sym", ")")
         return p, depths, w, pos
     raise SpecError(f"unknown group atom {v!r}", pos)
@@ -240,16 +237,12 @@ def parse_group_spec(text: str) -> GroupSpec:
 
 
 def _normalize_spec(spec: GroupSpec) -> GroupSpec:
-    """Reduce action matrix entries rowwise; fold Z2 by -identity into inversion."""
+    """Reduce action matrix entries rowwise."""
     w = spec.weyl
-    if w is None or w.kind != "cyclic" or w.matrix is None:
-        return spec
-    if len(w.matrix) != spec.rank or any(len(row) != spec.rank for row in w.matrix):
+    if w is None or len(w.matrix) != spec.rank:
         return spec  # shape errors reported by validate_spec
     reduced = _reduce_matrix(w.matrix, _row_mods(spec))
-    if w.k == 2 and _is_minus_identity(reduced, spec):
-        return GroupSpec(spec.p, spec.depths, WeylSpec("inversion", 2), spec.colimit)
-    return GroupSpec(spec.p, spec.depths, WeylSpec("cyclic", w.k, reduced), spec.colimit)
+    return GroupSpec(spec.p, spec.depths, WeylSpec(w.k, reduced), spec.colimit)
 
 
 def validate_spec(spec: GroupSpec) -> None:
@@ -270,20 +263,14 @@ def validate_spec(spec: GroupSpec) -> None:
     if w is None:
         return
     r = spec.rank
-    if w.kind == "inversion":
-        if spec.p == 2:
-            raise SpecError("inversion needs odd p: |W| = 2 must be coprime to p")
-    elif w.kind == "cyclic":
-        if w.k < 1:
-            raise SpecError("cyclic action order must be >= 1")
-        if math.gcd(w.k, spec.p) != 1:
-            raise SpecError(f"|W| = {w.k} must be coprime to p = {spec.p}")
-        if w.matrix is None or len(w.matrix) != r or any(len(row) != r for row in w.matrix):
-            raise SpecError(f"action matrix must be {r}x{r}")
-        realize_weyl(spec)
-    else:
-        raise SpecError(f"unknown weyl kind {w.kind!r}")
-    if not spec.colimit and spec.weyl is not None and spec.uniform_depth is None:
+    if w.k < 1:
+        raise SpecError("cyclic action order must be >= 1")
+    if math.gcd(w.k, spec.p) != 1:
+        raise SpecError(f"|W| = {w.k} must be coprime to p = {spec.p}")
+    if len(w.matrix) != r or any(len(row) != r for row in w.matrix):
+        raise SpecError(f"action matrix must be {r}x{r}")
+    realize_weyl(spec)
+    if not spec.colimit and spec.uniform_depth is None:
         raise SpecError("a weyl action requires all torus depths to be equal")
 
 
@@ -301,26 +288,15 @@ def canonical_spec(spec: GroupSpec) -> str:
         inner = " x ".join(f"cyclic({spec.p}^{depth_str(d)})" for d in ds)
     if spec.weyl is not None:
         w = spec.weyl
-        if w.kind == "inversion" or (w.kind == "cyclic" and w.k == 2 and w.matrix is not None
-                                     and _is_minus_identity(w.matrix, spec)):
+        mods = _row_mods(spec)
+        reduced = _reduce_matrix(w.matrix, mods)
+        if w.k == 2 and reduced == _reduce_matrix(_scalar_matrix(-1, spec.rank), mods):
             wtxt = "inversion"
         else:
-            reduced = _reduce_matrix(w.matrix, _row_mods(spec))
             rows = ",".join("[" + ",".join(str(e) for e in row) + "]" for row in reduced)
             wtxt = f"Z{w.k}:[{rows}]"
         inner = f"semidirect({inner}, {wtxt})"
     return f"colimit({inner})" if spec.colimit else inner
-
-
-def _is_minus_identity(matrix, spec: GroupSpec) -> bool:
-    r = spec.rank
-    mods = [spec.p if d is None else spec.p ** d for d in spec.depths]
-    for i in range(r):
-        for j in range(r):
-            want = -1 if i == j else 0
-            if (matrix[i][j] - want) % mods[i]:
-                return False
-    return True
 
 
 # -- Weyl group realization ---------------------------------------------------
@@ -370,30 +346,23 @@ def _mat_mul(a, b, mods):
     return tuple(out)
 
 
-def _identity_matrix(r) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(1 if i == j else 0 for j in range(r)) for i in range(r))
+def _scalar_matrix(c: int, r: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(tuple(c if i == j else 0 for j in range(r)) for i in range(r))
 
 
 def realize_weyl(spec: GroupSpec) -> WeylGroup:
     """Build the acting group at this spec's depths (trivial group if none)."""
-    r = spec.rank
     mods = _row_mods(spec)
-    ident = _reduce_matrix(_identity_matrix(r), mods)
+    ident = _reduce_matrix(_scalar_matrix(1, spec.rank), mods)
     w = spec.weyl
     if w is None:
         return WeylGroup([ident])
-    if w.kind == "inversion":
-        gen = _reduce_matrix(tuple(tuple(-1 if i == j else 0 for j in range(r))
-                                   for i in range(r)), mods)
-        k = 2
-    else:
-        gen = _reduce_matrix(w.matrix, mods)
-        k = w.k
+    gen = _reduce_matrix(w.matrix, mods)
     powers = [ident]
-    for _ in range(k - 1):
+    for _ in range(w.k - 1):
         powers.append(_mat_mul(powers[-1], gen, mods))
     if _mat_mul(powers[-1], gen, mods) != ident:
-        raise SpecError(f"action matrix does not have order dividing {k} at these depths")
+        raise SpecError(f"action matrix does not have order dividing {w.k} at these depths")
     return WeylGroup(powers)
 
 
@@ -501,7 +470,7 @@ def equivariant_splitting(spec: GroupSpec) -> SplittingChoice:
     weyl = realize_weyl(spec)
     caps = tuple(p ** d for d in spec.depths)
     images = conj_generator_images(weyl, spec)
-    inv_order = PrimeField(p).inv(weyl.size % p)
+    inv_order = pow(weyl.size, -1, p)
     top = []
     for i in range(r):
         e_i = tuple(1 if t == i else 0 for t in range(r))
@@ -655,7 +624,7 @@ def build_group_algebra(spec: GroupSpec | str) -> GradedGroupAlgebra:
     if isinstance(spec, str):
         spec = parse_group_spec(spec)
     validate_spec(spec)
-    if spec.colimit or any(d is None for d in spec.depths):
+    if spec.colimit:
         raise SpecError("cannot build a finite algebra from a colimit spec")
     weyl = realize_weyl(spec)
     if weyl.size > 1:
@@ -756,8 +725,11 @@ def power_inclusion(lower: GradedGroupAlgebra, higher: GradedGroupAlgebra) -> Al
     """The algebra map induced by including each depth-n torus factor into
     depth n+1 via g -> g^p; on lifted monomials it is X^a w -> X^{pa} w.
 
-    Verified: both sides have consecutive depths, the same prime and action,
-    the map preserves internal degree, the unit, and multiplication.
+    Verified: both sides have consecutive depths, the same prime, and the
+    same action at the lower depth, the map preserves internal degree, the
+    unit, and multiplication.  g -> g^p turns A acting on Z/p^{n+1} into
+    A mod p^n on Z/p^n, since A(px) = p(Ax), so both action matrices are
+    compared reduced mod the lower depth's row moduli.
     """
     ls, hs = lower.spec, higher.spec
     if ls.p != hs.p or ls.rank != hs.rank:
@@ -765,11 +737,11 @@ def power_inclusion(lower: GradedGroupAlgebra, higher: GradedGroupAlgebra) -> Al
     if any(ln is None or hn is None or hn != ln + 1
            for ln, hn in zip(ls.depths, hs.depths)):
         raise SpecError("power inclusion connects consecutive depths only")
-    if (ls.weyl is None) != (hs.weyl is None):
-        raise SpecError("power inclusion needs matching weyl parts")
-    if ls.weyl is not None and (ls.weyl.kind, ls.weyl.k, ls.weyl.matrix) \
-            != (hs.weyl.kind, hs.weyl.k, hs.weyl.matrix):
-        raise SpecError("power inclusion needs identical weyl descriptions")
+    mods = _row_mods(ls)
+    low_w, high_w = (None if s.weyl is None else (s.weyl.k, _reduce_matrix(s.weyl.matrix, mods))
+                     for s in (ls, hs))
+    if low_w != high_w:
+        raise SpecError("power inclusion needs the same weyl action at the lower depth")
     p = ls.p
     image = [higher.index[(tuple(p * x for x in a), w)] for a, w in lower.basis_keys]
     if any(higher.degree(j) != lower.degree(i) for i, j in enumerate(image)):

@@ -36,19 +36,6 @@ class PrimeField:
             d += 1
         self.p = p
 
-    def inv(self, a: int) -> int:
-        """Multiplicative inverse by the extended Euclidean algorithm."""
-        a %= self.p
-        if a == 0:
-            raise ZeroDivisionError("0 is not invertible in F_p")
-        r0, r1 = a, self.p
-        s0, s1 = 1, 0
-        while r1:
-            q = r0 // r1
-            r0, r1 = r1, r0 - q * r1
-            s0, s1 = s1, s0 - q * s1
-        return s0 % self.p
-
     def __eq__(self, other) -> bool:
         return isinstance(other, PrimeField) and other.p == self.p
 
@@ -233,7 +220,7 @@ def rref_rows(field: PrimeField, rows: Iterable[dict]) -> list[dict]:
     reduced: dict[int, dict] = {}
     for lead in sorted(elim.pivots, reverse=True):
         row = elim.pivots[lead]
-        row = vec_scale(row, field.inv(row[lead]), p)
+        row = vec_scale(row, pow(row[lead], -1, p), p)
         for col in [c for c in row if c in reduced]:
             vec_add_scaled(row, reduced[col], p - row[col], p)
         reduced[lead] = row

@@ -9,7 +9,7 @@ picks the representatives from the block's streamed kernels and stops at
 the last one, and once with tags in reverse word order, where what is left
 of a reduced cochain is exactly its U part (its docstring has the proof).
 The class count comes from the cached ranks, so a block without classes,
-the most common kind, skips the first elimination and never eliminates its
+the most common case, skips the first elimination and never eliminates its
 own differential.  The R part is the projection, the B part, read on the
 source words e_j, is the contracting homotopy, and the representatives are
 the inclusion of a strong deformation retraction, with all five side
@@ -284,16 +284,14 @@ def stasheff_residuals(struct: AInfinityStructure, n: int):
             yield tup, residual
 
 
-def check_stasheff(struct: AInfinityStructure,
-                   max_n: Optional[int] = None) -> tuple[int, list]:
+def check_stasheff(struct: AInfinityStructure) -> tuple[int, list]:
     """Check all associativity relations up to arity cap + 1.
 
     Returns (number of tuples checked, list of failing tuples).
     """
-    top = struct.arity_cap + 1 if max_n is None else max_n
     checked = 0
     failures = []
-    for n in range(3, top + 1):
+    for n in range(3, struct.arity_cap + 2):
         for tup, residual in stasheff_residuals(struct, n):
             checked += 1
             if residual:

@@ -676,7 +676,7 @@ def test_blocks_builds_no_word_until_a_block_is_read(monkeypatch):
     keys = list(view)
     assert len(view) == len(bar.census(3)) == len(keys)
     assert all(s in view for s in keys)
-    assert internal_zero(3) - InternalDegree(3, 1) not in view
+    assert InternalDegree(3, -1) not in view
     assert view.get(InternalDegree(3, 100)) is None
     assert runs == [] and bar._held == {}
     s = keys[-1]
@@ -1164,6 +1164,24 @@ def test_restriction_rejects_mismatched_caps():
     fmap = power_inclusion(low, high)
     with pytest.raises(ValueError):
         restriction(build_bar(high, 4), build_bar(low, 3), fmap)
+
+
+@pytest.mark.parametrize("low_spec, high_spec", [
+    ("semidirect(torus(2,1,2), Z3:[[0,-1],[1,-1]])",
+     "semidirect(torus(2,2,2), Z3:[[0,-1],[1,-1]])"),
+    ("semidirect(torus(3,1,2), Z4:[[0,-1],[1,0]])",
+     "semidirect(torus(3,2,2), Z4:[[0,-1],[1,0]])"),
+])
+def test_restriction_along_a_general_action(low_spec, high_spec):
+    # each level stores its action reduced mod its own p^n, so the two
+    # matrices differ as stored and agree mod the lower level's moduli
+    low = cached_algebra(low_spec)
+    high = cached_algebra(high_spec)
+    assert low.spec.weyl != high.spec.weyl
+    fmap = power_inclusion(low, high)  # multiplicativity verified inside
+    bar_low = build_bar(low, 3)
+    res = restriction(build_bar(high, 3), bar_low, fmap)  # letter check inside
+    assert sorted(lo for col in res.tcol.values() for lo in col) == list(bar_low.letters)
 
 
 def test_rank_two_restriction_on_kunneth_classes():

@@ -12,7 +12,7 @@ from ainfbar import groups
 from ainfbar.bar import build_bar
 from ainfbar.grading import InternalDegree
 from ainfbar.groups import (
-    GradedGroupAlgebra, GroupSpec, SpecError, WeylSpec, _verify_algebra,
+    GradedGroupAlgebra, SpecError, WeylSpec, _verify_algebra,
     build_group_algebra, canonical_spec, equivariant_splitting,
     parse_group_spec, poly_mul, poly_pow, power_inclusion, realize_weyl,
     validate_spec,
@@ -42,11 +42,21 @@ def test_parse_torus_and_product():
 
 def test_parse_semidirect_and_canonical():
     s = parse_group_spec("semidirect(cyclic(3^1), inversion)")
-    assert s.weyl == WeylSpec("inversion", 2)
+    assert s.weyl == WeylSpec(2, ((2,),))
     assert canonical_spec(s) == "semidirect(cyclic(3^1), inversion)"
     s2 = parse_group_spec("semidirect(torus(3,1,2), Z2:[[-1,0],[0,-1]])")
     # Z2 by -identity canonicalizes to the inversion shorthand
     assert canonical_spec(s2) == "semidirect(torus(3,1,2), inversion)"
+
+
+def test_inversion_is_z2_by_minus_identity():
+    s = parse_group_spec("semidirect(torus(3,1,2), inversion)")
+    s2 = parse_group_spec("semidirect(torus(3,1,2), Z2:[[-1,0],[0,-1]])")
+    assert s == s2
+    assert s.weyl == WeylSpec(2, ((2, 0), (0, 2)))
+    # Z2 by +identity is a different action and prints as a matrix
+    plus = parse_group_spec("semidirect(torus(3,1,2), Z2:[[1,0],[0,1]])")
+    assert canonical_spec(plus) == "semidirect(torus(3,1,2), Z2:[[1,0],[0,1]])"
 
 
 def test_parse_colimit():
@@ -60,6 +70,7 @@ def test_parse_roundtrip():
     for text in ["cyclic(2^1)", "torus(5,2,3)", "semidirect(cyclic(3^2), inversion)",
                  "cyclic(3^1) x cyclic(3^2)",
                  "semidirect(torus(7,1,2), Z3:[[0,-1],[1,-1]])",
+                 "semidirect(torus(3,2,2), Z4:[[0,-1],[1,0]])",
                  "colimit(torus(3,inf,2))"]:
         s = parse_group_spec(text)
         assert parse_group_spec(canonical_spec(s)) == s
@@ -104,6 +115,7 @@ def test_weyl_order_must_hold():
     "semidirect(cyclic(3^2), inversion)",
     "semidirect(cyclic(3^1), Z4:[[2]])",
     "semidirect(torus(2,1,2), Z3:[[0,1],[1,1]])",
+    "semidirect(torus(3,2,2), Z4:[[0,-1],[1,0]])",
 ])
 def test_weyl_group_laws(text):
     spec = parse_group_spec(text)
@@ -120,12 +132,6 @@ def test_weyl_group_laws(text):
         assert w.mult(i, w.inverse(i)) == 0
         for j in range(w.size):
             assert w.matrix(w.mult(i, j)) == product(w.matrix(i), w.matrix(j))
-
-
-def test_matrix_weyl_kind_is_rejected():
-    spec = GroupSpec(3, (1,), WeylSpec("matrix", 2, ((2,),)))
-    with pytest.raises(SpecError, match="unknown weyl kind"):
-        build_group_algebra(spec)
 
 
 def readme_specs() -> list[str]:
@@ -314,6 +320,14 @@ def test_power_inclusion_rejects_gaps():
     too_high = build_group_algebra("cyclic(3^3)")
     with pytest.raises(SpecError):
         power_inclusion(low, too_high)
+
+
+def test_power_inclusion_rejects_a_different_lower_action():
+    # [[-1,-1],[1,0]] is [[1,1],[1,0]] mod 2, not [[0,1],[1,1]]
+    low = build_group_algebra("semidirect(torus(2,1,2), Z3:[[0,1],[1,1]])")
+    high = build_group_algebra("semidirect(torus(2,2,2), Z3:[[-1,-1],[1,0]])")
+    with pytest.raises(SpecError, match="weyl"):
+        power_inclusion(low, high)
 
 
 def test_iota_products_stay_in_ideal():

@@ -308,6 +308,6 @@ def small_transfer_bars(draw):
 def test_sdr_identities_and_stasheff_on_small_specs(bar):
     assert SDR(bar).verify_identities() > 0
     ops = transfer(bar, arity_cap=3, degree_cap=bar.cap - 1)
-    checked, failures = check_stasheff(ops, max_n=4)
+    checked, failures = check_stasheff(ops)
     assert checked > 0
     assert failures == []
