@@ -169,11 +169,7 @@ def _run_transfer(args, spec: GroupSpec) -> dict:
 
 
 def _run_restriction(args, spec: GroupSpec) -> dict:
-    if spec.colimit or any(d is None or d < 2 for d in spec.depths):
-        raise SpecError("restriction needs a finite spec with depth >= 2 "
-                        "in every factor")
-    low_spec = GroupSpec(spec.p, tuple(d - 1 for d in spec.depths),
-                         spec.weyl, False)
+    low_spec = spec.lower()
     high_alg = build_group_algebra(spec)
     low_alg = build_group_algebra(low_spec)
     cap = args.max_degree + 1

@@ -21,6 +21,8 @@ all depths.  "Z k : M" is the cyclic group of order k acting through the
 single generator matrix M.  A Weyl action is stored in that one form, the
 order k and the generator matrix; "inversion" is the grammar's name for Z2
 acting by -identity, read as that matrix and printed back by canonical_spec.
+A GroupSpec checks itself and reduces its matrix rowwise when it is built,
+however it is built, and GroupSpec.lower() is the one way down a depth.
 """
 
 from __future__ import annotations
@@ -48,26 +50,72 @@ class SpecError(ValueError):
 @dataclass(frozen=True)
 class WeylSpec:
     """The acting group before realization: Z/k through one generator
-    matrix, rowwise-reduced once parsed."""
+    matrix, rowwise-reduced by the GroupSpec that holds it."""
     k: int
     matrix: tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
 class GroupSpec:
+    """A torus approximation, one depth per factor, with an optional action.
+
+    Every GroupSpec is valid and reduced from the moment it exists: the
+    constructor checks the prime, the depths and the action, and stores
+    the action matrix rowwise-reduced, entry (i, j) mod p^{n_i} (mod p at
+    infinite depth), so two specs of one group compare equal however
+    their matrices were written.  The depths are all finite, a finite
+    level, or all None, the colimit.  lower() is the one way down a depth.
+    """
     p: int
     depths: tuple[Optional[int], ...]  # one per torus factor; None = colimit
     weyl: Optional[WeylSpec] = None
-    colimit: bool = False
+
+    def __post_init__(self):
+        try:
+            PrimeField(self.p)
+        except ValueError as exc:
+            raise SpecError(str(exc)) from None
+        if not self.colimit and (None in self.depths or min(self.depths) < 1):
+            raise SpecError("depths must be all >= 1 or all 'inf'")
+        w = self.weyl
+        if w is None:
+            return
+        r = self.rank
+        if w.k < 1:
+            raise SpecError("cyclic action order must be >= 1")
+        if math.gcd(w.k, self.p) != 1:
+            raise SpecError(f"|W| = {w.k} must be coprime to p = {self.p}")
+        if len(w.matrix) != r or any(len(row) != r for row in w.matrix):
+            raise SpecError(f"action matrix must be {r}x{r}")
+        mods = _row_mods(self)
+        reduced = tuple(tuple(e % mods[i] for e in row) for i, row in enumerate(w.matrix))
+        object.__setattr__(self, "weyl", WeylSpec(w.k, reduced))
+        realize_weyl(self)  # checks the order
+        if not self.colimit and self.uniform_depth is None:
+            raise SpecError("a weyl action requires all torus depths to be equal")
 
     @property
     def rank(self) -> int:
         return len(self.depths)
 
     @property
+    def colimit(self) -> bool:
+        return all(d is None for d in self.depths)
+
+    @property
     def uniform_depth(self) -> Optional[int]:
         ds = set(self.depths)
         return self.depths[0] if len(ds) == 1 else None
+
+    def lower(self) -> GroupSpec:
+        """The same group one depth down in every factor, the source of the
+        power inclusion g -> g^p.  g -> g^p turns A acting on Z/p^{n+1}
+        into A mod p^n on Z/p^n, since A(px) = p(Ax), so the constructor's
+        reduction gives the lower action."""
+        if self.colimit or min(self.depths) < 2:
+            raise SpecError("going down a depth needs a finite spec with "
+                            "depth >= 2 in every factor")
+        return GroupSpec(self.p, tuple(d - 1 for d in self.depths), self.weyl)
 
 
 # -- tokenizer / parser -------------------------------------------------------
@@ -219,59 +267,20 @@ def parse_group_spec(text: str) -> GroupSpec:
     """Parse a group description; raises SpecError with a position on bad input."""
     ps = _Parser(text)
     k, v, pos = ps.peek()
-    colimit = False
-    if (k, v) == ("name", "colimit"):
+    wrapped = (k, v) == ("name", "colimit")
+    if wrapped:
         ps.next()
         ps.expect("sym", "(")
         p, depths, weyl, _ = _parse_spec_body(ps)
         ps.expect("sym", ")")
-        colimit = True
     else:
         p, depths, weyl, _ = _parse_spec_body(ps)
     k, v, pos = ps.peek()
     if k is not None:
         raise SpecError(f"trailing input {v!r}", pos)
-    spec = _normalize_spec(GroupSpec(p, tuple(depths), weyl, colimit))
-    validate_spec(spec)
-    return spec
-
-
-def _normalize_spec(spec: GroupSpec) -> GroupSpec:
-    """Reduce action matrix entries rowwise."""
-    w = spec.weyl
-    if w is None or len(w.matrix) != spec.rank:
-        return spec  # shape errors reported by validate_spec
-    reduced = _reduce_matrix(w.matrix, _row_mods(spec))
-    return GroupSpec(spec.p, spec.depths, WeylSpec(w.k, reduced), spec.colimit)
-
-
-def validate_spec(spec: GroupSpec) -> None:
-    try:
-        PrimeField(spec.p)
-    except ValueError as exc:
-        raise SpecError(str(exc)) from None
-    has_inf = any(d is None for d in spec.depths)
-    if spec.colimit:
-        if not all(d is None for d in spec.depths):
-            raise SpecError("colimit requires every depth to be 'inf'")
-    elif has_inf:
-        raise SpecError("infinite depth is only allowed inside colimit(...)")
-    for d in spec.depths:
-        if d is not None and d < 1:
-            raise SpecError("depth must be >= 1")
-    w = spec.weyl
-    if w is None:
-        return
-    r = spec.rank
-    if w.k < 1:
-        raise SpecError("cyclic action order must be >= 1")
-    if math.gcd(w.k, spec.p) != 1:
-        raise SpecError(f"|W| = {w.k} must be coprime to p = {spec.p}")
-    if len(w.matrix) != r or any(len(row) != r for row in w.matrix):
-        raise SpecError(f"action matrix must be {r}x{r}")
-    realize_weyl(spec)
-    if not spec.colimit and spec.uniform_depth is None:
-        raise SpecError("a weyl action requires all torus depths to be equal")
+    if wrapped != (None in depths):
+        raise SpecError("'inf' depths go inside colimit(...), and it takes no other")
+    return GroupSpec(p, tuple(depths), weyl)
 
 
 def canonical_spec(spec: GroupSpec) -> str:
@@ -286,14 +295,13 @@ def canonical_spec(spec: GroupSpec) -> str:
             inner = f"torus({spec.p},{depth_str(ds[0])},{len(ds)})"
     else:
         inner = " x ".join(f"cyclic({spec.p}^{depth_str(d)})" for d in ds)
-    if spec.weyl is not None:
-        w = spec.weyl
-        mods = _row_mods(spec)
-        reduced = _reduce_matrix(w.matrix, mods)
-        if w.k == 2 and reduced == _reduce_matrix(_scalar_matrix(-1, spec.rank), mods):
+    w = spec.weyl
+    if w is not None:
+        inversion = WeylSpec(2, _scalar_matrix(-1, spec.rank))
+        if w.k == 2 and spec == GroupSpec(spec.p, ds, inversion):
             wtxt = "inversion"
         else:
-            rows = ",".join("[" + ",".join(str(e) for e in row) + "]" for row in reduced)
+            rows = ",".join("[" + ",".join(str(e) for e in row) + "]" for row in w.matrix)
             wtxt = f"Z{w.k}:[{rows}]"
         inner = f"semidirect({inner}, {wtxt})"
     return f"colimit({inner})" if spec.colimit else inner
@@ -331,10 +339,6 @@ def _row_mods(spec: GroupSpec) -> list[int]:
     return [spec.p if d is None else spec.p ** d for d in spec.depths]
 
 
-def _reduce_matrix(m, mods) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(e % mods[i] for e in row) for i, row in enumerate(m))
-
-
 def _mat_mul(a, b, mods):
     r = len(a)
     out = []
@@ -352,12 +356,11 @@ def _scalar_matrix(c: int, r: int) -> tuple[tuple[int, ...], ...]:
 
 def realize_weyl(spec: GroupSpec) -> WeylGroup:
     """Build the acting group at this spec's depths (trivial group if none)."""
-    mods = _row_mods(spec)
-    ident = _reduce_matrix(_scalar_matrix(1, spec.rank), mods)
+    ident = _scalar_matrix(1, spec.rank)
     w = spec.weyl
     if w is None:
         return WeylGroup([ident])
-    gen = _reduce_matrix(w.matrix, mods)
+    mods, gen = _row_mods(spec), w.matrix
     powers = [ident]
     for _ in range(w.k - 1):
         powers.append(_mat_mul(powers[-1], gen, mods))
@@ -534,10 +537,10 @@ class GradedGroupAlgebra:
     p^top, top the largest depth; elements of W sit in degree zero.
     """
 
-    def __init__(self, spec: GroupSpec, weyl: WeylGroup):
+    def __init__(self, spec: GroupSpec):
         self.spec = spec
         self.field = PrimeField(spec.p)
-        self.weyl = weyl
+        self.weyl = weyl = realize_weyl(spec)
         p = spec.p
         caps = tuple(p ** d for d in spec.depths)
         self.caps = caps
@@ -623,13 +626,11 @@ def build_group_algebra(spec: GroupSpec | str) -> GradedGroupAlgebra:
     """
     if isinstance(spec, str):
         spec = parse_group_spec(spec)
-    validate_spec(spec)
     if spec.colimit:
         raise SpecError("cannot build a finite algebra from a colimit spec")
-    weyl = realize_weyl(spec)
-    if weyl.size > 1:
+    alg = GradedGroupAlgebra(spec)
+    if alg.weyl.size > 1:
         equivariant_splitting(spec)
-    alg = GradedGroupAlgebra(spec, weyl)
     _verify_algebra(alg)
     return alg
 
@@ -725,24 +726,15 @@ def power_inclusion(lower: GradedGroupAlgebra, higher: GradedGroupAlgebra) -> Al
     """The algebra map induced by including each depth-n torus factor into
     depth n+1 via g -> g^p; on lifted monomials it is X^a w -> X^{pa} w.
 
-    Verified: both sides have consecutive depths, the same prime, and the
-    same action at the lower depth, the map preserves internal degree, the
-    unit, and multiplication.  g -> g^p turns A acting on Z/p^{n+1} into
-    A mod p^n on Z/p^n, since A(px) = p(Ax), so both action matrices are
-    compared reduced mod the lower depth's row moduli.
+    Verified: the lower spec is the higher one taken down a depth by
+    GroupSpec.lower(), so the prime, the rank and the action at the lower
+    depth agree, and the map preserves internal degree, the unit, and
+    multiplication.
     """
-    ls, hs = lower.spec, higher.spec
-    if ls.p != hs.p or ls.rank != hs.rank:
-        raise SpecError("power inclusion needs the same prime and rank")
-    if any(ln is None or hn is None or hn != ln + 1
-           for ln, hn in zip(ls.depths, hs.depths)):
-        raise SpecError("power inclusion connects consecutive depths only")
-    mods = _row_mods(ls)
-    low_w, high_w = (None if s.weyl is None else (s.weyl.k, _reduce_matrix(s.weyl.matrix, mods))
-                     for s in (ls, hs))
-    if low_w != high_w:
-        raise SpecError("power inclusion needs the same weyl action at the lower depth")
-    p = ls.p
+    if lower.spec != higher.spec.lower():
+        raise SpecError("power inclusion needs the lower spec to be the higher "
+                        "one a depth down, with the same prime and weyl action")
+    p = lower.spec.p
     image = [higher.index[(tuple(p * x for x in a), w)] for a, w in lower.basis_keys]
     if any(higher.degree(j) != lower.degree(i) for i, j in enumerate(image)):
         raise SpecError("power inclusion broke internal degrees")

@@ -106,11 +106,10 @@ class AInfinityStructure:
     "not computed", not zero.
     """
 
-    def __init__(self, space: BigradedSpace, arity_cap: int, degree_cap: int):
+    def __init__(self, space: BigradedSpace, arity_cap: int):
         self.space = space
         self.field = space.field
         self.arity_cap = arity_cap
-        self.degree_cap = degree_cap
         self.ops: dict[int, dict[tuple, dict[str, int]]] = {
             k: {} for k in range(2, arity_cap + 1)}
 
@@ -222,7 +221,7 @@ def transfer(bar: BarComplex, arity_cap: int, degree_cap: int) -> AInfinityStruc
     coh = engine.coh
     labels = [l for l in coh.space.labels()
               if coh.space.degrees(l)[0] <= degree_cap]
-    struct = AInfinityStructure(coh.space, arity_cap, degree_cap)
+    struct = AInfinityStructure(coh.space, arity_cap)
     p = bar.field.p
     for k in range(2, arity_cap + 1):
         table = struct.ops[k]

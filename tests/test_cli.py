@@ -134,6 +134,14 @@ class TestPayloads:
         assert {"source": "h2:1#0", "target": "h2:1#0",
                 "coeff": 1} in payload["map"]
 
+    def test_restriction_reports_the_lower_action_reduced(self, tmp_path):
+        _, text, _ = run(["restriction", "--spec",
+                          "semidirect(torus(3,2,2), Z4:[[0,-1],[1,0]])",
+                          "--max-degree", "1", "--cache-dir", str(tmp_path)])
+        payload = json.loads(text)
+        assert payload["config"]["spec"] == "semidirect(torus(3,2,2), Z4:[[0,8],[1,0]])"
+        assert payload["lowSpec"] == "semidirect(torus(3,1,2), Z4:[[0,2],[1,0]])"
+
     def test_certificate_payload(self, tmp_path):
         _, text, _ = run(["certificate", "--spec", "colimit(cyclic(3^inf))",
                           "--max-degree", "6", "--cache-dir", str(tmp_path)])

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import pathlib
@@ -12,10 +13,9 @@ from ainfbar import groups
 from ainfbar.bar import build_bar
 from ainfbar.grading import InternalDegree
 from ainfbar.groups import (
-    GradedGroupAlgebra, SpecError, WeylSpec, _verify_algebra,
+    GradedGroupAlgebra, GroupSpec, SpecError, WeylSpec, _verify_algebra,
     build_group_algebra, canonical_spec, equivariant_splitting,
     parse_group_spec, poly_mul, poly_pow, power_inclusion, realize_weyl,
-    validate_spec,
 )
 
 from reference import (
@@ -74,6 +74,73 @@ def test_parse_roundtrip():
                  "colimit(torus(3,inf,2))"]:
         s = parse_group_spec(text)
         assert parse_group_spec(canonical_spec(s)) == s
+
+
+# Z/k actions of finite order over the integers, so valid at every depth
+# wherever k is prime to p; Z3 by [[1]] acts through the trivial quotient
+DRAWN_ACTIONS = {
+    1: [(2, ((-1,),)), (4, ((-1,),)), (3, ((1,),))],
+    2: [(2, ((-1, 0), (0, -1))), (4, ((0, -1), (1, 0))), (2, ((0, 1), (1, 0))),
+        (3, ((0, -1), (1, -1)))],
+}
+
+
+@functools.cache
+def built(spec: GroupSpec):
+    return build_group_algebra(spec)
+
+
+@st.composite
+def small_specs(draw):
+    p = draw(st.sampled_from([2, 3]))
+    rank = draw(st.integers(1, 2))
+    actions = [a for a in DRAWN_ACTIONS[rank] if math.gcd(a[0], p) == 1]
+    action = draw(st.sampled_from([None] + actions))
+    if action is None:
+        depths = tuple(draw(st.integers(1, 2)) for _ in range(rank))
+    else:
+        depths = (draw(st.integers(1, 2)),) * rank
+    depths = draw(st.sampled_from([depths, (None,) * rank]))
+    return GroupSpec(p, depths, None if action is None else WeylSpec(*action))
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_specs())
+def test_drawn_specs_round_trip_and_lower(s):
+    assert parse_group_spec(canonical_spec(s)) == s
+    if s.uniform_depth == 2:
+        low = s.lower()
+        assert parse_group_spec(canonical_spec(low)) == low
+        power_inclusion(built(low), built(s))  # raises unless it is an inclusion
+
+
+def test_lower_reduces_the_action_at_the_lower_depth():
+    high = parse_group_spec("semidirect(torus(3,2,2), Z4:[[0,-1],[1,0]])")
+    assert high.weyl.matrix == ((0, 8), (1, 0))
+    low = high.lower()
+    assert low == parse_group_spec("semidirect(torus(3,1,2), Z4:[[0,2],[1,0]])")
+    assert low.weyl.matrix == ((0, 2), (1, 0))
+    for bottom in (low, parse_group_spec("colimit(cyclic(3^inf))")):
+        with pytest.raises(SpecError, match="depth >= 2"):
+            bottom.lower()
+
+
+def test_direct_construction_equals_the_parsed_spec():
+    s = GroupSpec(3, (1, 1), WeylSpec(4, ((0, -1), (1, 0))))
+    assert s == parse_group_spec("semidirect(torus(3,1,2), Z4:[[0,-1],[1,0]])")
+    assert s.weyl.matrix == ((0, 2), (1, 0))
+    assert not s.colimit and GroupSpec(3, (None, None)).colimit
+
+
+@pytest.mark.parametrize("args, message", [
+    ((3, (1,), WeylSpec(3, ((1,),))), "coprime"),
+    ((3, (1, 1), WeylSpec(2, ((2, 0),))), "2x2"),
+    ((3, (1, None)), "all >= 1 or all 'inf'"),
+    ((5, (1,), WeylSpec(3, ((2,),))), "order dividing 3"),  # 2^3 = 3 mod 5
+])
+def test_direct_constructions_the_parser_refuses_raise(args, message):
+    with pytest.raises(SpecError, match=message):
+        GroupSpec(*args)
 
 
 def test_parse_errors_carry_positions():
@@ -148,7 +215,7 @@ def test_readme_specs_are_valid():
     assert len(specs) >= 10
     assert any("[[" in s for s in specs)
     for text in specs:
-        validate_spec(parse_group_spec(text))
+        parse_group_spec(text)
 
 
 # -- polynomial helpers ----------------------------------------------------------
