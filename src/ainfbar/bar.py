@@ -26,7 +26,7 @@ list of first-letter runs (u, tails) over the words one length down.
 The blocks below length cap - 1 are built a whole length at a time when
 first read and held, as the tails of the length above; a block of length
 cap - 1, the largest length by far, is built each time it is read and
-never held, and rank walks its runs without building it.
+never held, and the elimination rank walks its runs without building it.
 
 A word has one form throughout: the packed integer, or code, whose n
 fields of dim.bit_length() bits hold its n letters, the first letter in
@@ -49,10 +49,20 @@ class never streams them.  A BlockBasis also gives its block's pivot
 words, the B words of the basis one length up, so that stream is the only
 elimination of a block's own differential outside rank.
 
+The algebra picks how ranks are found, and no option does.  With no
+action, F_p[T] is a monomial algebra, and the classes of every block are
+exactly its Anick chains: chains(n) counts them per weight from a
+letter-to-letter table, building no word, and
+
+    rank(n, s) = census(n)[s] - chains(n)[s] - rank(n - 1, s),
+
+with no elimination (chains has the proof).  With an action the chains
+are not minimal, and rank eliminates, as follows.
+
 Letters are numbered in the algebra's basis order, Weyl-major: X^a w is
 w |T| + lin(a), so the letters X^a come first and every letter w - 1
-after them (see rank).  One packed comultiplication table in that order
-serves everything: blocks, ranks, kernels and BlockBasis
+after them (see _eliminated_rank).  One packed comultiplication table in
+that order serves everything: blocks, ranks, kernels and BlockBasis
 representatives.  rank(n, s) reads the pivot leads of rank(n - 1, s),
 the smallest words of the boundaries in the block, and skips those
 source words: the others span a complement of the boundaries, which d
@@ -115,9 +125,18 @@ class BarComplex:
         self._comult = self._build_comult()
         self._heads = self._lead_pairs()
         self._census: dict[int, dict[int, int]] = {}
+        # with no action, ranks are counted from the Anick chains (rank):
+        # their successor table, and their counts by length, last letter
+        # and weight
+        self._chain_next = (self._chain_successors() if algebra.weyl.size == 1
+                            else None)
+        self._chain_ends: dict[int, dict[int, dict[int, int]]] = {}
         # codes of the blocks below length cap - 1, by length, then weight
         self._held: dict[int, dict[int, list[int]]] = {}
+        # the first letters of every block, by length, then weight (_runs)
+        self._firsts: dict[int, dict[int, list[int]]] = {}
         self._ranks: dict[tuple[int, InternalDegree], int] = {}
+        self._counted: dict[tuple[int, InternalDegree], int] = {}
         # pivot leads of rank(n, s), kept for rank(n + 1, s) to pop
         self._leads: dict[tuple[int, InternalDegree], set[int]] = {}
         self._cohomology: Optional[CohomologyData] = None
@@ -227,12 +246,21 @@ class BarComplex:
         order: its words, in lex order, are u followed by each word of
         tails, the block (n - 1, wt - wt(u)), for each u it holds.  The
         empty word is the one run (0, [0]) of block (0, 0), 0 standing
-        for no letter; 0 is the unit, never a letter, and has no head."""
+        for no letter; 0 is the unit, never a letter, and has no head.
+        The first letters of every block of length n are listed once, a
+        pass over the letters and the weights one length down, in letter
+        order, and kept: a read then costs its runs, not a check of every
+        letter.  They are letters, so no word of length n is held."""
         if n == 0:
             return [(0, [0])] if wt == 0 else []
         below, weights = self._held_length(n - 1), self.letter_wt
-        return [(u, below[wt - weights[u]])
-                for u in self.letters if wt - weights[u] in below]
+        firsts = self._firsts.get(n)
+        if firsts is None:
+            firsts = self._firsts[n] = {}
+            for u in self.letters:
+                for b in below:
+                    firsts.setdefault(weights[u] + b, []).append(u)
+        return [(u, below[wt - weights[u]]) for u in firsts.get(wt, ())]
 
     def _held_length(self, n: int) -> dict[int, list[int]]:
         """Every block of length n < cap - 1 by weight, built once, in
@@ -308,8 +336,130 @@ class BarComplex:
         return {(w1 << shift) | w2: c1 * c2 % p
                 for w1, c1 in a.items() for w2, c2 in b.items()}
 
+    def chains(self, n: int) -> dict[int, int]:
+        """Anick chains of length n by internal weight, on an algebra with
+        no action; any n, and no word is built.  chains(n)[s] is
+        dim H^{n,s}; this docstring proves it.
+
+        Chains.  With no action, F_p[T] = F_p[x_1..x_r]/(x_i^{q_i}),
+        q_i = p^{n_i}, and each letter X^a is the normal word
+        x_1^{a_1}..x_r^{a_r} of the Groebner basis whose tips are x_j x_i
+        (j > i) and x_i^{q_i}.  A chain is a bar word [w_1|..|w_n] whose
+        w_1 is one variable and each w_k w_{k+1} of which holds exactly one
+        tip, ending at its end.  For normal u and v, with x_i the last
+        variable of u, c its exponent there, and x_f the first variable
+        of v, a tip of uv lies across the joint, as u and v hold none.  If
+        f > i, uv is normal.  If f < i, x_i x_f is a tip, ending at the end
+        only when v = x_f.  If f = i, the only tips across are windows
+        x_i^{q_i} of the run of x_i, one ending at the end exactly when
+        v = x_i^{q_i - c}.  So [u|v] continues a chain exactly when v is a
+        variable below x_i, or v = x_i^{q_i - c}: _chain_successors.
+
+        The Kuenneth lemma: a chain's multidegree fixes its length.  Both
+        kinds of successor are powers of one variable, and neither raises
+        the index of the variable, so a chain is a run of letters in x_i,
+        then a run in a lower variable, and so on.  A run starts with the
+        variable itself, as w_1 or as the first successor, and inside it
+        x_i^c is followed by x_i^{q_i - c}: the run is x_i, x_i^{q_i - 1},
+        x_i, ..  Conversely any lengths l_i >= 0 of the runs give a chain.
+        A run of length l = 2k has exponent m = kq_i, one of length 2k + 1
+        has m = kq_i + 1.  The residues 0 and 1 mod q_i differ, so m_i
+        fixes l_i, and the length n = sum l_i of a chain is fixed by its
+        multidegree (m_1..m_r): per factor, exponent kq at degree 2k and
+        kq + 1 at 2k + 1 (e at degree e when q = 2), the degrees of
+        H^*(Z/q; F_p), one class each.  Each such multidegree holds one
+        chain.
+
+        The count.  The product is monomial, so d keeps the Z^r
+        multidegree, the sum of the letters' exponents, and the complex
+        splits by it.  Joellenbeck-Welker's algebraic Morse matching on the
+        normalized bar complex pairs a word with one in which a letter is
+        split into two whose product it is, so paired words share a
+        multidegree, and its critical words are the chains (Anick,
+        Trans. AMS 296, 1986; Joellenbeck, Welker, Mem. AMS 197, 2009).
+        Its Morse complex, spanned by the chains, is homotopy equivalent to
+        the bar complex in each multidegree, and its differential changes
+        the length by one.  By the lemma a multidegree holds chains of one
+        length only, so that differential is zero and the chains of length
+        n in a multidegree count its H^n.  The weight is a function of the
+        multidegree, so summing gives chains(n)[s] = dim H^{n,s}."""
+        if self._chain_next is None:
+            raise ValueError("Anick chains count the classes only with no action")
+        got: dict[int, int] = {}
+        for wts in self._chains_by_end(n).values():
+            for wt, c in wts.items():
+                got[wt] = got.get(wt, 0) + c
+        return got
+
+    def _chains_by_end(self, n: int) -> dict[int, dict[int, int]]:
+        """Chains of length n counted by last letter, then weight, built
+        from length n - 1 through _chain_successors, cached per length.
+        The empty chain ends on 0, no letter."""
+        got = self._chain_ends.get(n)
+        if got is None:
+            got = {0: {0: 1}}
+            if n:
+                got, weights = {}, self.letter_wt
+                for u, wts in self._chains_by_end(n - 1).items():
+                    for v in self._chain_next[u]:
+                        into, wv = got.setdefault(v, {}), weights[v]
+                        for wt, c in wts.items():
+                            into[wt + wv] = into.get(wt + wv, 0) + c
+            self._chain_ends[n] = got
+        return got
+
+    def _chain_successors(self) -> dict[int, list[int]]:
+        """Per letter u, with no action, the letters v that may follow it
+        in an Anick chain (see chains): each variable x_j below the last
+        variable x_i of u, and x_i^(q_i - c), c the exponent of x_i in u.
+        0, no letter, is followed by every variable: chains start there."""
+        alg = self.algebra
+        r = alg.spec.rank
+
+        def power(i: int, e: int) -> int:
+            return alg.index[(tuple(e if t == i else 0 for t in range(r)), 0)]
+
+        step = {0: [power(j, 1) for j in range(r)]}
+        for u in self.letters:
+            a = alg.basis_keys[u][0]
+            i = max(t for t in range(r) if a[t])
+            step[u] = [power(j, 1) for j in range(i)] + [power(i, alg.caps[i] - a[i])]
+        return step
+
     def rank(self, n: int, s: InternalDegree) -> int:
         """Rank of the differential leaving block (n, s).
+
+        The algebra picks the route.  With an action, rank eliminates
+        (_eliminated_rank).  With none it counts, and builds no word and
+        no row: chains(n)[s] = dim H^{n,s}, proved there, and
+        dim H^{n,s} = |block (n, s)| - rank(n, s) - rank(n - 1, s), so
+
+            rank(n, s) = census(n)[s] - chains(n)[s] - rank(n - 1, s),
+
+        summed up from rank(-1, s) = 0.  Each BlockBasis checks that its
+        block is spanned with the counted rank, so every block a basis is
+        built for tests it.  With an action the chains are not minimal: a
+        Weyl letter v = w - 1 has v^2 = -2v for inversion, so [v|..|v] is a
+        chain in every length, while H^*(Z/2; F_p) is 0 in positive
+        degrees for p odd.
+        """
+        if n >= self.cap:
+            raise ValueError("rank needs the target degree within the cap")
+        if self._chain_next is None:
+            return self._eliminated_rank(n, s)
+        key = (n, s)
+        got = self._counted.get(key)
+        if got is None:
+            wt = self._weight(s)
+            got = self._counted[key] = (
+                self.census(n).get(wt, 0) - self.chains(n).get(wt, 0)
+                - (self.rank(n - 1, s) if n else 0))
+        return got
+
+    def _eliminated_rank(self, n: int, s: InternalDegree) -> int:
+        """Rank of the differential leaving block (n, s), by elimination,
+        the route of every algebra with an action; it reaches down into
+        _eliminated_rank(n - 1, s), never into the counted rank.
 
         Source words are fed in reverse lex order, a first-letter run at a
         time (_runs), and the block's list is never built: the lead target
@@ -375,15 +525,13 @@ class BarComplex:
         the first-letter heads alone, 13,230 with lead-only reduction
         alone.
         """
-        if n >= self.cap:
-            raise ValueError("rank needs the target degree within the cap")
         key = (n, s)
         cached = self._ranks.get(key)
         if cached is not None:
             return cached
         wt = self._weight(s)
         if n > 0 and wt in self.census(n - 1):
-            self.rank(n - 1, s)
+            self._eliminated_rank(n - 1, s)
         leads = self._leads.pop((n - 1, s), ())
         pivots = _PivotRows(self.field.p, lambda code: self._d_packed(code, n))
         shift = self.bits * max(n - 1, 0)

@@ -10,8 +10,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from ainfbar import bar as bar_module
 from ainfbar.bar import (
-    BlockBasis, BudgetExceededError, Restriction, _PivotRows, build_bar,
-    restriction,
+    BarComplex, BlockBasis, BudgetExceededError, Restriction, _PivotRows,
+    build_bar, restriction,
 )
 from ainfbar.grading import InternalDegree, internal_zero
 from ainfbar.groups import AlgebraMap, build_group_algebra, power_inclusion
@@ -785,6 +785,13 @@ def test_weyl_major_rank_needs_few_reductions(monkeypatch):
     assert 0 < len(calls) <= 300
 
 
+def eliminating(bar):
+    """The bar with rank served by its elimination whatever the algebra;
+    the elimination reaches down only into itself."""
+    bar.rank = bar._eliminated_rank
+    return bar
+
+
 @pytest.mark.parametrize("spec,cap", [
     ("cyclic(3^2)", 6),
     ("semidirect(torus(3,1,2), inversion)", 4),
@@ -794,8 +801,9 @@ def test_rank_feeds_only_a_complement_of_the_boundaries(monkeypatch, spec, cap):
     # so one per class is left: a row that reduces to zero in rank's
     # table, or a word whose d is read off it as zero and never built.
     # Feeding every word leaves 4,164 on cyclic(3^2) and 294 on the
-    # semidirect bar
-    bar = build_bar(build_group_algebra(spec), cap)
+    # semidirect bar.  dims reads the elimination, which cyclic(3^2), with
+    # no action, would otherwise replace by a count
+    bar = eliminating(build_bar(build_group_algebra(spec), cap))
     zeros, known = [], []
     insert = _PivotRows.insert
 
@@ -828,8 +836,9 @@ def test_rank_feeds_only_a_complement_of_the_boundaries(monkeypatch, spec, cap):
 ])
 def test_rank_keeps_no_lead_set_and_no_extra_rank(spec, cap):
     # rank(n, s) reaches down only into nonempty blocks, so it caches just
-    # the ranks dims asks for, and each lead set is popped by its reader
-    bar = build_bar(build_group_algebra(spec), cap)
+    # the ranks dims asks for, and each lead set is popped by its reader;
+    # dims reads the elimination on either spec
+    bar = eliminating(build_bar(build_group_algebra(spec), cap))
     bar.cohomology()
     assert bar._leads == {}
     asked = set()
@@ -1026,7 +1035,7 @@ def test_deferred_pivot_rows_equal_the_eager_ones(monkeypatch, spec, a_major):
         for s in bar.blocks(n):
             tables.clear()
             fed.clear()
-            bar.rank(n, s)
+            bar._eliminated_rank(n, s)
             (pivots,) = tables
             # one row or code per word off the leads below whose d is not
             # 0; a-major, the leads below hold words of settled runs too
@@ -1075,9 +1084,132 @@ def test_rank_matches_a_full_reduction_reference(spec, cap):
                 if w not in leads:
                     ref._insert(bar._d_packed(w, n))
             below[(n, s)] = set(ref.pivots)
-            assert bar.rank(n, s) == ref.rank
+            assert bar._eliminated_rank(n, s) == ref.rank
             kept = set(ref.pivots) if n + 1 < cap else set()
             assert bar._leads.get((n, s), set()) == kept
+
+
+# the oracle specs with no action, (Z/4)^2 and a mixed-depth product over
+# p = 3, each with a cap at which its elimination takes about 0.1 s
+CHAIN_SPECS = {spec: cap for spec, cap in [
+    ("cyclic(2^1)", 10), ("cyclic(2^3)", 6), ("cyclic(3^1)", 9),
+    ("cyclic(3^2)", 6), ("cyclic(5^1)", 7), ("cyclic(2^1) x cyclic(2^2)", 6),
+    ("torus(3,1,2)", 6), ("torus(2,2,2)", 5), ("cyclic(3^1) x cyclic(3^2)", 4)]}
+assert {spec for spec in ORACLE_SPECS if "semidirect" not in spec} <= set(CHAIN_SPECS)
+
+
+def normal_word(alg, u):
+    """Letter u = X^a as its normal word, variable indices ascending."""
+    return [i for i, e in enumerate(alg.basis_keys[u][0]) for _ in range(e)]
+
+
+def continues_a_chain(alg, u, v):
+    """Anick's condition on [u|v], read off the words: the concatenation
+    holds exactly one tip, x_j x_i (j > i) or x_i^{q_i}, and it ends at
+    the end."""
+    word = normal_word(alg, u) + normal_word(alg, v)
+    tips = [(i, j) for i in range(alg.spec.rank) for j in range(i)]
+    tips += [(i,) * q for i, q in enumerate(alg.caps)]
+    ends = [k + len(t) for t in tips for k in range(len(word) - len(t) + 1)
+            if tuple(word[k:k + len(t)]) == t]
+    return ends == [len(word)]
+
+
+def kuenneth_length(alg, multidegree):
+    """Degree of the Kuenneth class of a multidegree: per factor, exponent
+    kq at 2k and kq + 1 at 2k + 1, so exponent e at e when q = 2; None
+    when a factor's exponent holds no class."""
+    length = 0
+    for m, q in zip(multidegree, alg.caps):
+        k, rest = divmod(m, q)
+        if rest > 1:
+            return None
+        length += 2 * k + rest
+    return length
+
+
+@functools.lru_cache(maxsize=None)
+def chains_by_walk(spec, top):
+    """Every chain of length <= top, walked through the bar's successor
+    table, as (length, weight, multidegree)."""
+    bar = build_bar(cached_algebra(spec), 1)
+    alg, found = bar.algebra, []
+    stack = [(0, 0, 0, (0,) * alg.spec.rank)]
+    while stack:
+        u, n, wt, m = stack.pop()
+        found.append((n, wt, m))
+        if n < top:
+            for v in bar._chain_next[u]:
+                a = alg.basis_keys[v][0]
+                stack.append((v, n + 1, wt + bar.letter_wt[v],
+                              tuple(x + y for x, y in zip(m, a))))
+    return found
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(sorted(CHAIN_SPECS)), st.data())
+def test_counted_ranks_equal_the_eliminated_ones(spec, data):
+    # on every block below the cap the chain count gives the rank of the
+    # elimination; the successor table is Anick's condition on every pair
+    # of letters, and every chain to degree 16 sits at the Kuenneth length
+    # of its multidegree, one chain per multidegree: the lemma that makes
+    # the count exact (BarComplex.chains)
+    cap = data.draw(st.integers(1, CHAIN_SPECS[spec]), label="cap")
+    alg = cached_algebra(spec)
+    counted, eliminated = build_bar(alg, cap), build_bar(alg, cap)
+    for n in range(cap):
+        for s in counted.blocks(n):
+            assert counted.rank(n, s) == eliminated._eliminated_rank(n, s)
+    step = counted._chain_next
+    variables = [u for u in counted.letters if len(normal_word(alg, u)) == 1]
+    assert sorted(step[0]) == variables
+    for u in counted.letters:
+        assert sorted(step[u]) == [v for v in counted.letters
+                                   if continues_a_chain(alg, u, v)]
+    found = chains_by_walk(spec, 16)
+    assert all(kuenneth_length(alg, m) == n for n, _, m in found)
+    assert len({m for _, _, m in found}) == len(found)
+    for n in range(17):
+        assert counted.chains(n) == collections.Counter(
+            wt for k, wt, _ in found if k == n)
+
+
+@pytest.mark.parametrize("product,factors", [
+    ("cyclic(3^1) x cyclic(3^2)", ["cyclic(3^1)", "cyclic(3^2)"]),
+    ("cyclic(2^1) x cyclic(2^2)", ["cyclic(2^1)", "cyclic(2^2)"]),
+])
+def test_chains_of_a_product_are_the_kuenneth_convolution(product, factors):
+    # with no action, dims of A x B per (degree, internal degree) are the
+    # convolution of the factors' dims; counted, both sides reach degree 20
+    def chain_dims(bar, n):
+        return collections.Counter({bar._degree(wt): c
+                                    for wt, c in bar.chains(n).items()})
+
+    whole, a, b = (build_bar(cached_algebra(spec), 1) for spec in [product, *factors])
+    for n in range(21):
+        conv = collections.Counter()
+        for k in range(n + 1):
+            for s, c in chain_dims(a, k).items():
+                for t, d in chain_dims(b, n - k).items():
+                    conv[s + t] += c * d
+        assert chain_dims(whole, n) == conv
+
+
+def test_ranks_without_an_action_are_counted(monkeypatch):
+    # with no action, the ranks and the cohomology need no row: with every
+    # d expansion refused, cyclic(3^2) still gives one class per degree;
+    # an action keeps the elimination, which expands d
+    def refuse(self, code, n):
+        raise AssertionError("no row may be built")
+
+    monkeypatch.setattr(BarComplex, "_d_packed", refuse)
+    coh = build_bar(build_group_algebra("cyclic(3^2)"), 7).cohomology()
+    assert dims_by_degree(coh) == {n: 1 for n in range(7)}
+    bar = build_bar(build_group_algebra("semidirect(cyclic(3^1), inversion)"), 7)
+    with pytest.raises(AssertionError, match="no row may be built"):
+        bar.cohomology()
+    with pytest.raises(ValueError, match="no action"):
+        bar.chains(1)
 
 
 def test_dims_rejects_a_rank_too_high(monkeypatch):
