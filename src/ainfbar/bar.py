@@ -143,29 +143,44 @@ class BarComplex:
 
     def _build_comult(self) -> tuple[dict, dict]:
         """Packed comultiplication, one table per sign: for each letter u,
-        the pairs (a, b) with c_ab^u != 0 as (code of [a|b], coefficient).
-        The first table holds the negated coefficients, for the positions
-        i = 0, 2, 4, .. (from 0) whose sign (-1)^(i+1) is -1.  Products
-        are read off the algebra's table: letter a is e_a, or e_a - 1 when
-        e_a is in W (augmentation 1).  Each must have augmentation 0, and
-        dropping its unit coefficient writes it on the letters."""
+        the pairs (a, b) with c_ab^u != 0 as (code of [a|b], coefficient),
+        in code order.  The first table holds the negated coefficients,
+        for the positions i = 0, 2, 4, .. (from 0) whose sign (-1)^(i+1) is
+        -1.  Letter a is e_a, or e_a - 1 when e_a is in W (augmentation 1).
+        Pairs of letters outside W are read off the nonzero entries of the
+        algebra's table; a pair with a letter w - 1 is expanded into four
+        products for every partner, since (w - 1) e_b = w e_b - e_b is not
+        zero where w e_b is.  Each listed product must have augmentation 0,
+        and dropping its unit coefficient writes it on the letters."""
         alg = self.algebra
         p, bits, unit = self.field.p, self.bits, alg.unit_index
         aug = [alg.augmentation(k) for k in range(alg.dim)]
+        weyl = [u for u in self.letters if aug[u]]
+
+        def expanded(a: int, b: int) -> dict[int, int]:
+            prod: dict[int, int] = {}
+            for i, ci in ((a, 1), (unit, -aug[a])):
+                for j, cj in ((b, 1), (unit, -aug[b])):
+                    vec_add_scaled(prod, alg.mult(i, j), ci * cj, p)
+            return prod
+
+        products = itertools.chain(
+            ((a, b, prod) for (a, b), prod in alg._table.items()
+             if not (aug[a] or aug[b])),
+            ((a, b, expanded(a, b)) for a in self.letters
+             for b in (self.letters if aug[a] else weyl)))
         plus: dict[int, list[tuple[int, int]]] = {u: [] for u in self.letters}
-        for a in self.letters:
-            for b in self.letters:
-                prod = alg.mult(a, b)
-                if aug[a] or aug[b]:
-                    prod = {}
-                    for i, ci in ((a, 1), (unit, -aug[a])):
-                        for j, cj in ((b, 1), (unit, -aug[b])):
-                            vec_add_scaled(prod, alg.mult(i, j), ci * cj, p)
-                if prod and sum(c for k, c in prod.items() if aug[k]) % p:
-                    raise AssertionError("product of ideal elements left the ideal")
-                for u, c in prod.items():
-                    if u != unit:
-                        plus[u].append(((a << bits) | b, c))
+        for a, b, prod in products:
+            ab, eps = (a << bits) | b, 0
+            for u, c in prod.items():
+                if aug[u]:
+                    eps += c
+                if u != unit:
+                    plus[u].append((ab, c))
+            if eps % p:
+                raise AssertionError("product of ideal elements left the ideal")
+        for pairs in plus.values():
+            pairs.sort()
         minus = {u: [(ab, p - c) for ab, c in pairs]
                  for u, pairs in plus.items()}
         return minus, plus

@@ -561,41 +561,55 @@ class GradedGroupAlgebra:
         return InternalDegree(self.spec.p, self.weights[i], self.top)
 
     def _build_table(self, exps: list[tuple[int, ...]]) -> None:
-        """conj[w][ib] is w X^b w^{-1} as (m, lin(m), coeff), w X_j w^{-1}
-        linear in the lifts through the action matrix mod p; the terms
-        that fit under the caps are found per (a, w, b), for every w2.
+        """conj[w][ib] is w X^b w^{-1} as (packed m, lin(m), coeff), w X_j
+        w^{-1} linear in the lifts through the action matrix mod p.
         (X^a w)(X^b w2) has its terms X^(a+m) (w w2) at
-        (w w2) |T| + lin(a) + lin(m)."""
+        (w w2) |T| + lin(a) + lin(m), for the m with a + m under the caps:
+        each is checked to be graded, found once per (a, w, b) and written
+        for every w2, in (i, j) order.  The fit test is one add and one
+        mask: exponents sit in fields of width + 1 bits, 2^width >= every
+        cap, m as it is and a plus 2^width - cap_t in field t, so field t of
+        the sum stays below 2^(width + 1) and sets its top bit exactly when
+        a_t + m_t >= cap_t."""
         p, caps, r, wt = self.spec.p, self.caps, self.spec.rank, self.weights
         weyl, nw, nt = self.weyl, self.weyl.size, self.torus_dim
         strides = [math.prod(caps[t + 1:]) for t in range(r)]
+        width = (max(caps) - 1).bit_length()
+        shifts = [t * (width + 1) for t in range(r)]
+        guard = sum(1 << (s + width) for s in shifts)
+        bias = sum(((1 << width) - c) << s for c, s in zip(caps, shifts))
+        packed = [bias + sum(x << s for x, s in zip(a, shifts)) for a in exps]
         conj = []
         for w in range(nw):
             mat = weyl.matrix(w)
             linear = [{tuple(int(t == k) for t in range(r)): mat[k][j] % p
                        for k in range(r) if mat[k][j] % p} for j in range(r)]
-            conj.append([[(m, sum(x * s for x, s in zip(m, strides)), c)
+            conj.append([[(sum(x << s for x, s in zip(m, shifts)),
+                           sum(x * s for x, s in zip(m, strides)), c)
                           for m, c in _conj_monomial(linear, b, caps, p).items()]
                          for b in exps])
         table = self._table
-        for ia, a in enumerate(exps):
-            room = [c - x for x, c in zip(a, caps)]
-            for w in range(nw):
-                i = w * nt + ia
+        for w in range(nw):
+            for ia, pa in enumerate(packed):
+                fits = []
                 for ib, terms in enumerate(conj[w]):
                     want = wt[ia] + wt[ib]
                     fit = []
-                    for m, lm, c in terms:
-                        if all(x < y for x, y in zip(m, room)):
+                    for pm, lm, c in terms:
+                        if not (pa + pm) & guard:
                             if wt[ia + lm] != want:
                                 raise SpecError("multiplication is not graded; "
                                                 "lift construction broken")
                             fit.append((ia + lm, c))
                     if fit:
-                        for w2 in range(nw):
-                            shift = weyl.mult(w, w2) * nt
-                            table[(i, w2 * nt + ib)] = {shift + k: c
-                                                        for k, c in fit}
+                        fits.append((ib, fit))
+                i = w * nt + ia
+                for w2 in range(nw):
+                    shift = weyl.mult(w, w2) * nt
+                    for ib, fit in fits:
+                        entry = table[(i, w2 * nt + ib)] = {}
+                        for j, c in fit:
+                            entry[shift + j] = c
 
     def mult(self, i: int, j: int) -> dict[int, int]:
         return self._table.get((i, j), {})
@@ -623,6 +637,11 @@ def build_group_algebra(spec: GroupSpec | str) -> GradedGroupAlgebra:
     (see _verify_algebra), at two products per basis triple (i, j, s), s in
     S, whose sides are not both zero on sight: between 2 |S| times the
     nonzero entries and 2 dim^2 |S|, plus at most dim |S| for the span.
+
+    With an action, equivariant_splitting runs only as a check that
+    W-stable lifts exist and agree across levels: the table never reads
+    the lifts, since stability makes W act on them linearly through the
+    mod-p action matrix, which the table reads directly.
     """
     if isinstance(spec, str):
         spec = parse_group_spec(spec)
@@ -637,12 +656,21 @@ def build_group_algebra(spec: GroupSpec | str) -> GradedGroupAlgebra:
 
 def _product(vec: dict[int, int], images: dict[int, dict[int, int]],
              p: int) -> dict[int, int]:
-    """vec times x, given images[k] = e_k x (x times vec, given x e_k)."""
+    """vec times x, given images[k] = e_k x (x times vec, given x e_k).
+    The first image is scaled, not merged, so a one-term vec, as nearly
+    every table entry is, costs one lookup and one scale."""
     out: dict[int, int] = {}
     for k, c in vec.items():
         image = images.get(k)
-        if image:
+        if not image:
+            continue
+        if out:
             vec_add_scaled(out, image, c, p)
+        elif c == 1:
+            out = image.copy()
+        else:
+            for t, v in image.items():
+                out[t] = v * c % p
     return out
 
 
@@ -661,27 +689,27 @@ def _verify_algebra(alg: GradedGroupAlgebra) -> None:
     basis i, j, which by bilinearity puts S in C.
 
     Every check reads the nonzero entries of the table under check, so a
-    corrupted entry is read like any other.  For each (j, s) only the rows
-    i with e_i e_j != 0, or e_i e_k != 0 for some k in e_j s, are visited:
-    for any other i, (e_i e_j)s = 0 = sum_k c_k e_i e_k = e_i(e_j s).  A
+    corrupted entry is read like any other.  For each (i, s) only the j
+    with e_i e_j != 0, or e_i e_k != 0 for some k in e_j s, are visited:
+    for any other j, (e_i e_j)s = 0 = sum_k c_k e_i e_k = e_i(e_j s).  Row
+    by row, so the entries e_i e_k that a row reads are read together.  A
     zero product has augmentation 0, so the augmentation is checked on the
     nonzero entries and on the pairs of elements of W.
     """
     n, p = alg.dim, alg.field.p
     u = alg.unit_index
     rows: list[dict[int, dict[int, int]]] = [{} for _ in range(n)]  # e_i e_j
-    cols: list[list[int]] = [[] for _ in range(n)]  # i with e_i e_j != 0
     for (i, j), v in alg._table.items():
         if v:
             rows[i][j] = v
-            cols[j].append(i)
     if any(rows[u].get(i) != {i: 1} or rows[i].get(u) != {i: 1} for i in range(n)):
         raise SpecError("unit element fails")
     r = alg.spec.rank
     gens = [alg.index[(tuple(int(t == i) for t in range(r)), 0)] for i in range(r)]
     if alg.weyl.size > 1:
         gens.append(alg.index[(tuple([0] * r), 1)])
-    right = {s: {k: rows[k][s] for k in cols[s]} for s in gens}  # e_k s
+    right = {s: {k: row[s] for k, row in enumerate(rows) if s in row}
+             for s in gens}  # e_k s
     elim = Eliminator(alg.field)
     elim.add_row({u: 1})
     frontier = [{u: 1}]
@@ -693,20 +721,29 @@ def _verify_algebra(alg: GradedGroupAlgebra) -> None:
                 frontier.append(vs)
     if elim.rank < n:
         raise SpecError("generators do not span the algebra")
-    for s in gens:
-        for j in range(n):
-            js = rows[j].get(s, {})
-            visit = set(cols[j])
+    zero: dict[int, int] = {}
+    for s, right_s in right.items():
+        left = [[] for _ in range(n)]  # j with k in e_j s, by k
+        for j, js in right_s.items():
             for k in js:
-                visit.update(cols[k])
-            for i in visit:
-                if _product(rows[i].get(j, {}), right[s], p) != _product(js, rows[i], p):
+                left[k].append(j)
+        for i, row in enumerate(rows):
+            visit = set(row)
+            for k in row:
+                visit.update(left[k])
+            for j in visit:
+                if _product(row.get(j, zero), right_s, p) \
+                        != _product(right_s.get(j, zero), row, p):
                     raise SpecError(f"associativity fails on basis triple {(i, j, s)}")
     aug = [alg.augmentation(k) for k in range(n)]
-    for i in range(n):
-        for j in set(rows[i]).union(range(0, n, alg.torus_dim) if aug[i] else ()):
-            eps = sum(c for k, c in rows[i].get(j, {}).items() if aug[k]) % p
-            if eps != aug[i] * aug[j]:
+    weyl = range(0, n, alg.torus_dim)
+    for i, row in enumerate(rows):
+        for j in set(row).union(weyl) if aug[i] else row:
+            eps = 0
+            for k, c in row.get(j, zero).items():
+                if aug[k]:
+                    eps += c
+            if eps % p != aug[i] * aug[j]:
                 raise SpecError("augmentation is not an algebra map")
 
 

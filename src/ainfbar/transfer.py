@@ -180,6 +180,7 @@ class TransferEngine:
     def lam(self, labels: tuple) -> dict:
         n = len(labels)
         p = self.p
+        d_lefts = list(itertools.accumulate(self._cohdeg(l) for l in labels))
         acc: dict = {}
         for cut in range(1, n):
             left, right = labels[:cut], labels[cut:]
@@ -190,8 +191,7 @@ class TransferEngine:
             if not hr:
                 continue
             t = n - cut
-            d_left = sum(self._cohdeg(l) for l in left)
-            exp = sigma(cut, t) + (t + 1) * d_left
+            exp = sigma(cut, t) + (t + 1) * d_lefts[cut - 1]
             coeff = 1 if exp % 2 == 0 else p - 1
             vec_add_scaled(acc, self.bar.concat(hl, hr), coeff, p)
         return acc

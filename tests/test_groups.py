@@ -441,6 +441,17 @@ def test_ideal_products_that_leave_the_ideal_are_rejected():
         build_bar(alg, 2)
 
 
+def test_weyl_letter_pairs_are_expanded_where_the_table_entry_is_zero():
+    # w w = 1 zeroed: (w - 1)(w - 1) = -2w + 1 has augmentation -1, which
+    # only a comultiplication that expands the pair on a zero entry sees
+    alg = build_group_algebra("semidirect(cyclic(3^1), inversion)")
+    w = alg.index[((0,), 1)]
+    assert alg._table[(w, w)] == {alg.unit_index: 1}
+    alg._table[(w, w)] = {}
+    with pytest.raises(AssertionError, match="left the ideal"):
+        build_bar(alg, 2)
+
+
 # -- the associativity proof on generators ------------------------------------------
 
 ORACLE_SPECS = [
@@ -468,10 +479,15 @@ def test_uncorrupted_tables_pass_both_checks(text):
     _verify_algebra(alg)
 
 
-# mixed depths over p = 3, a non-monomial action at depth 2, and the
-# 162-dim algebra of the restriction bench
+# mixed depths over p = 3 and over p = 2, whose power-of-two caps fill
+# their packed fields exactly, non-monomial actions at depth 2 and at
+# p = 5, the 100-dim Z4 rotation over p = 5, and the 162-dim algebra of
+# the restriction bench
 @pytest.mark.parametrize("text", ORACLE_SPECS + [
-    "cyclic(3^1) x cyclic(3^2)", "semidirect(torus(2,2,2), Z3:[[0,3],[1,3]])",
+    "cyclic(3^1) x cyclic(3^2)", "cyclic(2^2) x cyclic(2^3)",
+    "semidirect(torus(2,2,2), Z3:[[0,3],[1,3]])",
+    "semidirect(torus(5,1,2), Z3:[[0,-1],[1,-1]])",
+    "semidirect(torus(5,1,2), Z4:[[0,-1],[1,0]])",
     "semidirect(torus(3,2,2), inversion)"])
 def test_table_and_comultiplication_match_the_pair_by_pair_reference(text):
     alg = build_group_algebra(text)
