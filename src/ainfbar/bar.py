@@ -147,8 +147,8 @@ class BarComplex:
         in code order.  The first table holds the negated coefficients,
         for the positions i = 0, 2, 4, .. (from 0) whose sign (-1)^(i+1) is
         -1.  Letter a is e_a, or e_a - 1 when e_a is in W (augmentation 1).
-        Pairs of letters outside W are read off the nonzero entries of the
-        algebra's table; a pair with a letter w - 1 is expanded into four
+        Pairs of letters outside W are read off the nonzero entries in the
+        algebra's rows; a pair with a letter w - 1 is expanded into four
         products for every partner, since (w - 1) e_b = w e_b - e_b is not
         zero where w e_b is.  Each listed product must have augmentation 0,
         and dropping its unit coefficient writes it on the letters."""
@@ -165,8 +165,8 @@ class BarComplex:
             return prod
 
         products = itertools.chain(
-            ((a, b, prod) for (a, b), prod in alg._table.items()
-             if not (aug[a] or aug[b])),
+            ((a, b, prod) for a, row in enumerate(alg.rows) if not aug[a]
+             for b, prod in row.items() if not aug[b]),
             ((a, b, expanded(a, b)) for a in self.letters
              for b in (self.letters if aug[a] else weyl)))
         plus: dict[int, list[tuple[int, int]]] = {u: [] for u in self.letters}

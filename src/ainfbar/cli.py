@@ -215,13 +215,12 @@ def _run_compare(args, spec: GroupSpec) -> dict:
 
 
 def _run_splitting(args, spec: GroupSpec) -> dict:
-    choice = equivariant_splitting(spec)
-    levels = []
-    for level in sorted(choice.lifts):
-        lifts = [[[list(e), c] for e, c in sorted(vec.items())]
-                 for vec in choice.lifts[level]]
-        levels.append({"level": level, "lifts": lifts})
-    return {"p": choice.p, "rank": choice.rank, "depth": choice.depth,
+    lifts = equivariant_splitting(spec)
+    levels = [{"level": level,
+               "lifts": [[[list(e), c] for e, c in sorted(vec.items())]
+                         for vec in lifts[level]]}
+              for level in sorted(lifts)]
+    return {"p": spec.p, "rank": spec.rank, "depth": spec.uniform_depth,
             "levels": levels}
 
 

@@ -176,10 +176,7 @@ def invariant_dims(model: TorusModel) -> InvariantReport:
     """
     p = model.p
     order = model.weyl.size
-    if order % p == 0:
-        raise SpecError(f"|W| = {order} is divisible by p = {p}; "
-                        "no averaging projector exists")
-    inv_order = pow(order, -1, p)
+    inv_order = pow(order, -1, p)  # GroupSpec refuses |W| not prime to p
     dims: list[int] = []
     basis: dict[int, list[dict[str, int]]] = {}
     by_degree: dict[int, list[dict[Mono, int]]] = {}

@@ -438,25 +438,11 @@ def _conj_monomial(images_w: list[dict], exp: tuple[int, ...],
 
 # -- equivariant splitting ------------------------------------------------------
 
-class SplittingChoice:
-    """Consistent W-stable generator lifts, one list per level 1..depth.
-
-    lifts[n][i] is a dict {exponent tuple: coeff} over the level-n monomial
-    basis, congruent to Y_i modulo the square of the augmentation ideal.
-    Level n lifts are the image of level n+1 under the exponent truncation
-    induced by x -> x^p consistency.
-    """
-
-    def __init__(self, p: int, rank: int, depth: int,
-                 lifts: dict[int, list[dict]]):
-        self.p = p
-        self.rank = rank
-        self.depth = depth
-        self.lifts = lifts
-
-
-def equivariant_splitting(spec: GroupSpec) -> SplittingChoice:
-    """Reynolds-averaged W-stable lifts of the degree-one generators.
+def equivariant_splitting(spec: GroupSpec) -> dict[int, list[dict]]:
+    """Reynolds-averaged W-stable lifts of the degree-one generators, as
+    {level: lifts} for levels 1..depth.  lifts[i] is a dict {exponent
+    tuple: coeff} over the level's monomial basis, congruent to Y_i modulo
+    the square of the augmentation ideal.
 
     The projector pi = |W|^{-1} sum_w rho(w) q rho(w)^{-1}, with q the naive
     projection onto span(Y_i) along all other monomials, is applied at the
@@ -490,7 +476,7 @@ def equivariant_splitting(spec: GroupSpec) -> SplittingChoice:
         bound = p ** level
         lifts[level] = [{e: c for e, c in v.items() if all(x < bound for x in e)}
                         for v in lifts[level + 1]]
-    return SplittingChoice(p, r, n, lifts)
+    return lifts
 
 
 def _check_lifts(top: list[dict], images, weyl: WeylGroup, spec: GroupSpec) -> None:
@@ -554,7 +540,8 @@ class GradedGroupAlgebra:
         self.weights = [sum(ai * p ** (self.top - ni) for ai, ni in zip(a, spec.depths))
                         for a, _ in self.basis_keys]
         self.unit_index = 0  # X^0 times the identity of W
-        self._table: dict[tuple[int, int], dict[int, int]] = {}
+        # rows[i][j] = e_i e_j, nonzero entries only, each row in j order
+        self.rows: list[dict[int, dict[int, int]]] = [{} for _ in range(self.dim)]
         self._build_table(exps)
 
     def degree(self, i: int) -> InternalDegree:
@@ -588,7 +575,6 @@ class GradedGroupAlgebra:
                            sum(x * s for x, s in zip(m, strides)), c)
                           for m, c in _conj_monomial(linear, b, caps, p).items()]
                          for b in exps])
-        table = self._table
         for w in range(nw):
             for ia, pa in enumerate(packed):
                 fits = []
@@ -603,16 +589,16 @@ class GradedGroupAlgebra:
                             fit.append((ia + lm, c))
                     if fit:
                         fits.append((ib, fit))
-                i = w * nt + ia
+                row = self.rows[w * nt + ia]
                 for w2 in range(nw):
                     shift = weyl.mult(w, w2) * nt
                     for ib, fit in fits:
-                        entry = table[(i, w2 * nt + ib)] = {}
+                        entry = row[w2 * nt + ib] = {}
                         for j, c in fit:
                             entry[shift + j] = c
 
     def mult(self, i: int, j: int) -> dict[int, int]:
-        return self._table.get((i, j), {})
+        return self.rows[i].get(j, {})
 
     def augmentation(self, i: int) -> int:
         return int(i % self.torus_dim == 0)  # a = 0 exactly when lin(a) = 0
@@ -688,20 +674,16 @@ def _verify_algebra(alg: GradedGroupAlgebra) -> None:
     rank dim, then check (e_i e_j)s = e_i(e_j s) for all s in S and all
     basis i, j, which by bilinearity puts S in C.
 
-    Every check reads the nonzero entries of the table under check, so a
-    corrupted entry is read like any other.  For each (i, s) only the j
-    with e_i e_j != 0, or e_i e_k != 0 for some k in e_j s, are visited:
-    for any other j, (e_i e_j)s = 0 = sum_k c_k e_i e_k = e_i(e_j s).  Row
-    by row, so the entries e_i e_k that a row reads are read together.  A
-    zero product has augmentation 0, so the augmentation is checked on the
-    nonzero entries and on the pairs of elements of W.
+    Every check reads the rows of the table under check in place, so a
+    corrupted entry is read like any other, and an empty one as zero.  For
+    each (i, s) only the j with e_i e_j != 0, or e_i e_k != 0 for some k in
+    e_j s, are visited: for any other j, (e_i e_j)s = 0 = sum_k c_k e_i e_k
+    = e_i(e_j s).  Row by row, so the entries e_i e_k that a row reads are
+    read together.  A zero product has augmentation 0, so the augmentation
+    is checked on the nonzero entries and on the pairs of elements of W.
     """
     n, p = alg.dim, alg.field.p
-    u = alg.unit_index
-    rows: list[dict[int, dict[int, int]]] = [{} for _ in range(n)]  # e_i e_j
-    for (i, j), v in alg._table.items():
-        if v:
-            rows[i][j] = v
+    u, rows = alg.unit_index, alg.rows
     if any(rows[u].get(i) != {i: 1} or rows[i].get(u) != {i: 1} for i in range(n)):
         raise SpecError("unit element fails")
     r = alg.spec.rank

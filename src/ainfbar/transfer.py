@@ -13,8 +13,9 @@ the most common case, skips the first elimination and never eliminates its
 own differential.  The R part is the projection, the B part, read on the
 source words e_j, is the contracting homotopy, and the representatives are
 the inclusion of a strong deformation retraction, with all five side
-identities holding exactly.  SDR.split reads both parts from one reduction,
-CohomologyData.split, so the engine decomposes each lam once.
+identities holding exactly.  SDR is the retract the recursion reads, and
+the only object here that touches the bar; SDR.split reads both parts from
+one reduction, CohomologyData.split, so the engine decomposes each lam once.
 
 The higher operations follow the split recursion
 
@@ -33,7 +34,7 @@ from __future__ import annotations
 import itertools
 from typing import Optional
 
-from .bar import BarComplex, CohomologyData
+from .bar import BarComplex
 from .grading import BigradedSpace, internal_zero
 from .linalg import vec_add_scaled
 
@@ -48,30 +49,34 @@ class CapOverflowError(ValueError):
 
 
 class SDR:
-    """Strong deformation retraction of bar cochains onto their cohomology."""
+    """Strong deformation retraction of bar cochains onto their cohomology.
+    The transfer reads its space, p, reach (the top degree with a homotopy),
+    incl, split and product (the bar's concatenation), and nothing else."""
 
     def __init__(self, bar: BarComplex):
         self.bar = bar
+        self.p = bar.field.p
+        self.reach = bar.cap - 1
+        self.product = bar.concat
 
     @property
-    def coh(self) -> CohomologyData:
-        """The bar's cohomology, computed on first use."""
-        return self.bar.cohomology()
+    def space(self) -> BigradedSpace:
+        """The cohomology space, computed on first use."""
+        return self.bar.cohomology().space
 
     def incl(self, label: str) -> dict[int, int]:
-        return dict(self.coh.representative(label))
+        return dict(self.bar.cohomology().representative(label))
 
     def split(self, cochain: dict[int, int]) -> tuple[dict[int, int],
                                                         dict[str, int]]:
         """(htp, proj) of a cochain, from one coordinate solve."""
-        return self.coh.split(cochain)[:2]
+        return self.bar.cohomology().split(cochain)[:2]
 
     def verify_identities(self) -> int:
         """Exact SDR checks on every block basis vector; returns the number
         of vectors checked.  Covers degrees up to cap - 2 so that the
         homotopy one degree up is always available."""
-        bar = self.bar
-        p = bar.field.p
+        bar, p = self.bar, self.p
         checked = 0
         for n in range(bar.cap - 1):
             for words in bar.blocks(n).values():
@@ -88,7 +93,7 @@ class SDR:
                     if self.split(he) != ({}, {}):
                         raise AssertionError(f"h h or proj h != 0 on {w}")
                     checked += 1
-        for label in self.coh.space.labels():
+        for label in self.space.labels():
             rep = self.incl(label)
             if bar.d_cochain(rep):
                 raise AssertionError(f"d incl != 0 on {label}")
@@ -106,12 +111,12 @@ class AInfinityStructure:
     "not computed", not zero.
     """
 
-    def __init__(self, space: BigradedSpace, arity_cap: int):
+    def __init__(self, space: BigradedSpace, arity_cap: int,
+                 ops: dict[int, dict[tuple, dict[str, int]]]):
         self.space = space
         self.field = space.field
         self.arity_cap = arity_cap
-        self.ops: dict[int, dict[tuple, dict[str, int]]] = {
-            k: {} for k in range(2, arity_cap + 1)}
+        self.ops = {k: ops.get(k, {}) for k in range(2, arity_cap + 1)}
 
     def op(self, labels: tuple) -> Optional[dict[str, int]]:
         k = len(labels)
@@ -143,26 +148,23 @@ def _max_intermediate(degs: list[int]) -> int:
 class TransferEngine:
     """Split recursion over an SDR, memoized on label tuples.
 
-    The degree cap bounds every transfer intermediate: the bar complex
-    must reach one degree past it, and m refuses a tuple whose
-    intermediates would pass it, both with CapOverflowError.
+    The degree cap bounds every transfer intermediate: the SDR must reach
+    it, and m refuses a tuple whose intermediates would pass it, both with
+    CapOverflowError.  ops[k][labels] memoizes m on arity k tuples.
     """
 
     def __init__(self, sdr: SDR, degree_cap: int):
-        if degree_cap > sdr.bar.cap - 1:
+        if degree_cap > sdr.reach:
             raise CapOverflowError(
                 f"degree cap {degree_cap} needs bar words up to length "
-                f"{degree_cap + 1}, but the bar complex stops at {sdr.bar.cap}")
+                f"{degree_cap + 1}, but the bar complex stops at {sdr.reach + 1}")
         self.sdr = sdr
-        self.bar = sdr.bar
-        self.p = sdr.bar.field.p
         self.degree_cap = degree_cap
-        self.coh = sdr.coh
         self._hl: dict[tuple, dict] = {}
-        self._m: dict[tuple, dict[str, int]] = {}
+        self.ops: dict[int, dict[tuple, dict[str, int]]] = {}
 
     def _cohdeg(self, label: str) -> int:
-        return self.coh.space.degrees(label)[0]
+        return self.sdr.space.degrees(label)[0]
 
     def hlam(self, labels: tuple) -> dict:
         """h lam of a tuple; above arity 1 the same solve also gives m."""
@@ -170,16 +172,17 @@ class TransferEngine:
         if got is not None:
             return got
         if len(labels) == 1:
-            out = {w: (self.p - c) % self.p
-                   for w, c in self.sdr.incl(labels[0]).items()}
+            p = self.sdr.p
+            out = {w: (p - c) % p for w, c in self.sdr.incl(labels[0]).items()}
         else:
-            out, self._m[labels] = self.sdr.split(self.lam(labels))
+            table = self.ops.setdefault(len(labels), {})
+            out, table[labels] = self.sdr.split(self.lam(labels))
         self._hl[labels] = out
         return out
 
     def lam(self, labels: tuple) -> dict:
         n = len(labels)
-        p = self.p
+        p, product = self.sdr.p, self.sdr.product
         d_lefts = list(itertools.accumulate(self._cohdeg(l) for l in labels))
         acc: dict = {}
         for cut in range(1, n):
@@ -193,19 +196,20 @@ class TransferEngine:
             t = n - cut
             exp = sigma(cut, t) + (t + 1) * d_lefts[cut - 1]
             coeff = 1 if exp % 2 == 0 else p - 1
-            vec_add_scaled(acc, self.bar.concat(hl, hr), coeff, p)
+            vec_add_scaled(acc, product(hl, hr), coeff, p)
         return acc
 
     def m(self, labels: tuple) -> dict[str, int]:
         """m_k on a tuple of k >= 2 labels, read off the solve for h lam."""
-        if labels not in self._m:
+        table = self.ops.get(len(labels), {})
+        if labels not in table:
             top = _max_intermediate([self._cohdeg(l) for l in labels])
             if top > self.degree_cap:
                 raise CapOverflowError(
                     f"m_{len(labels)} needs intermediates in degree {top}, "
                     f"past the degree cap {self.degree_cap}")
             self.hlam(labels)
-        return self._m[labels]
+        return self.ops[len(labels)][labels]
 
 
 def transfer(bar: BarComplex, arity_cap: int, degree_cap: int) -> AInfinityStructure:
@@ -213,34 +217,29 @@ def transfer(bar: BarComplex, arity_cap: int, degree_cap: int) -> AInfinityStruc
 
     Operations are tabulated on every tuple of class labels whose transfer
     intermediates all stay within degree_cap.  The bar complex must reach
-    one degree past the cap, otherwise CapOverflowError.
+    one degree past the cap, otherwise CapOverflowError.  The tables are the
+    engine's memo: every tuple the recursion solves is a contiguous
+    sub-tuple of a tabulated one, so it is tabulated itself.
     """
     if arity_cap < 2:
         raise ValueError("arity cap must be at least 2")
     engine = TransferEngine(SDR(bar), degree_cap)
-    coh = engine.coh
-    labels = [l for l in coh.space.labels()
-              if coh.space.degrees(l)[0] <= degree_cap]
-    struct = AInfinityStructure(coh.space, arity_cap)
-    p = bar.field.p
+    space, p = engine.sdr.space, engine.sdr.p
+    labels = [l for l in space.labels() if space.degrees(l)[0] <= degree_cap]
     for k in range(2, arity_cap + 1):
-        table = struct.ops[k]
         for tup in itertools.product(labels, repeat=k):
-            degs = [engine._cohdeg(l) for l in tup]
+            degs = [space.degrees(l)[0] for l in tup]
             if _max_intermediate(degs) > degree_cap:
                 continue
-            out = engine.m(tup)
             want_coh = sum(degs) + 2 - k
             want_int = internal_zero(p)
             for l in tup:
-                want_int = want_int + coh.space.degrees(l)[1]
-            for label, c in out.items():
-                got = coh.space.degrees(label)
-                if got != (want_coh, want_int):
+                want_int = want_int + space.degrees(l)[1]
+            for label in engine.m(tup):
+                if space.degrees(label) != (want_coh, want_int):
                     raise AssertionError(
                         f"m_{k}{tup} output {label} violates the bidegree")
-            table[tup] = out
-    return struct
+    return AInfinityStructure(space, arity_cap, engine.ops)
 
 
 def stasheff_residuals(struct: AInfinityStructure, n: int):

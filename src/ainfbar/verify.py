@@ -227,9 +227,9 @@ def criterion_6(lab: Lab) -> CriterionResult:
 
 
 def criterion_7(lab: Lab) -> CriterionResult:
-    choice = equivariant_splitting(parse_group_spec(
+    lifts = equivariant_splitting(parse_group_spec(
         "semidirect(cyclic(3^2), inversion)"))
-    l2, l1 = choice.lifts[2][0], choice.lifts[1][0]
+    l2, l1 = lifts[2][0], lifts[1][0]
     cube = poly_pow(l2, 3, (9,), 3)
     cube_ok = cube == {(3 * e[0],): c for e, c in l1.items()}
     # depth-1 oracle: the unique eigenline of the inversion action on the
@@ -240,7 +240,7 @@ def criterion_7(lab: Lab) -> CriterionResult:
              if _apply_rank1(w_y, {(1,): 1, (2,): a}, (3,), 3)
              == vec_scale({(1,): 1, (2,): a}, 2, 3)]
     base = equivariant_splitting(parse_group_spec(
-        "semidirect(cyclic(3^1), inversion)")).lifts[1][0]
+        "semidirect(cyclic(3^1), inversion)"))[1][0]
     depth1_ok = eigen == [1] and base in ({(1,): 1, (2,): 1},
                                           vec_scale({(1,): 1, (2,): 1}, 2, 3))
     # W-stability of the depth-2 lift, recomputed with plain powers

@@ -332,28 +332,28 @@ def test_splitting_depth1_inversion_matches_bruteforce():
             stable.append(v)
     assert stable == [{(1,): 1, (2,): 1}]
 
-    choice = equivariant_splitting(parse_group_spec("semidirect(cyclic(3^1), inversion)"))
-    assert choice.lifts[1][0] == {(1,): 1, (2,): 1}
+    lifts = equivariant_splitting(parse_group_spec("semidirect(cyclic(3^1), inversion)"))
+    assert lifts[1][0] == {(1,): 1, (2,): 1}
 
 
 def test_splitting_depth2_consistency_and_stability():
     spec = parse_group_spec("semidirect(cyclic(3^2), inversion)")
-    choice = equivariant_splitting(spec)
-    lift2 = choice.lifts[2][0]
-    lift1 = choice.lifts[1][0]
+    lifts = equivariant_splitting(spec)
+    lift2 = lifts[2][0]
+    lift1 = lifts[1][0]
     assert lift1 == {(1,): 1, (2,): 1}
     # level-1 lift = cube of level-2 lift under the exponent-tripling inclusion
     cube = poly_pow(lift2, 3, (9,), 3)
     included = {(3 * e[0],): c for e, c in lift1.items()}
     assert cube == included
     # deterministic rebuild
-    assert equivariant_splitting(spec).lifts == choice.lifts
+    assert equivariant_splitting(spec) == lifts
 
 
 def test_splitting_trivial_weyl_is_identity():
-    choice = equivariant_splitting(parse_group_spec("torus(3,2,2)"))
-    assert choice.lifts[2][0] == {(1, 0): 1}
-    assert choice.lifts[1][1] == {(0, 1): 1}
+    lifts = equivariant_splitting(parse_group_spec("torus(3,2,2)"))
+    assert lifts[2][0] == {(1, 0): 1}
+    assert lifts[1][1] == {(0, 1): 1}
 
 
 def test_stretch_algebra_builds_and_is_graded():
@@ -428,7 +428,7 @@ def test_augmentation_that_is_not_an_algebra_map_is_rejected():
     # associative and spanned by X, but X is no longer in the ideal
     alg = build_group_algebra("cyclic(2^1)")
     x = alg.index[((1,), 0)]
-    alg._table[(x, x)] = {alg.unit_index: 1}
+    alg.rows[x][x] = {alg.unit_index: 1}
     with pytest.raises(SpecError, match="augmentation is not an algebra map"):
         _verify_algebra(alg)
 
@@ -436,7 +436,7 @@ def test_augmentation_that_is_not_an_algebra_map_is_rejected():
 def test_ideal_products_that_leave_the_ideal_are_rejected():
     alg = build_group_algebra("cyclic(2^1)")
     x = alg.index[((1,), 0)]
-    alg._table[(x, x)] = {alg.unit_index: 1}
+    alg.rows[x][x] = {alg.unit_index: 1}
     with pytest.raises(AssertionError, match="left the ideal"):
         build_bar(alg, 2)
 
@@ -446,8 +446,8 @@ def test_weyl_letter_pairs_are_expanded_where_the_table_entry_is_zero():
     # only a comultiplication that expands the pair on a zero entry sees
     alg = build_group_algebra("semidirect(cyclic(3^1), inversion)")
     w = alg.index[((0,), 1)]
-    assert alg._table[(w, w)] == {alg.unit_index: 1}
-    alg._table[(w, w)] = {}
+    assert alg.rows[w][w] == {alg.unit_index: 1}
+    alg.rows[w][w] = {}
     with pytest.raises(AssertionError, match="left the ideal"):
         build_bar(alg, 2)
 
@@ -491,7 +491,8 @@ def test_uncorrupted_tables_pass_both_checks(text):
     "semidirect(torus(3,2,2), inversion)"])
 def test_table_and_comultiplication_match_the_pair_by_pair_reference(text):
     alg = build_group_algebra(text)
-    assert alg._table == reference_table(alg)
+    assert {(i, j): v for i, row in enumerate(alg.rows)
+            for j, v in row.items()} == reference_table(alg)
     bar = build_bar(alg, 1)
     bits, mask = bar.bits, (1 << bar.bits) - 1
     minus, plus = bar._comult
@@ -512,7 +513,7 @@ def test_generator_proof_catches_what_brute_force_catches(text, data):
     c = data.draw(st.integers(1, p - 1))
     entry = {} if data.draw(st.booleans()) else dict(alg.mult(i, j))
     entry[k] = (entry.get(k, 0) + c) % p
-    alg._table[(i, j)] = {t: v for t, v in entry.items() if v}
+    alg.rows[i][j] = {t: v for t, v in entry.items() if v}
     if brute_force_failing_triple(alg) is not None:
         with pytest.raises(SpecError):
             _verify_algebra(alg)
@@ -522,7 +523,7 @@ def test_corruption_above_dim_200_is_caught():
     alg = build_group_algebra("cyclic(3^5)")
     assert alg.dim == 243
     x, x2, x5 = (alg.index[((e,), 0)] for e in (1, 2, 5))
-    alg._table[(x, x)] = {x2: 1, x5: 1}
+    alg.rows[x][x] = {x2: 1, x5: 1}
     with pytest.raises(SpecError, match="associativity fails"):
         _verify_algebra(alg)
 
@@ -530,7 +531,7 @@ def test_corruption_above_dim_200_is_caught():
 def test_generators_that_do_not_span_are_rejected():
     alg = build_group_algebra("cyclic(3^1)")
     x = alg.index[((1,), 0)]
-    alg._table[(x, x)] = {}
+    alg.rows[x][x] = {}
     with pytest.raises(SpecError, match="generators do not span"):
         _verify_algebra(alg)
 
@@ -550,7 +551,7 @@ def test_verify_makes_dim2_times_generators_products(monkeypatch):
     monkeypatch.setattr(groups, "_product", counted)
     alg = build_group_algebra("cyclic(2^6)")
     n, s = alg.dim, alg.spec.rank
-    nonzero = sum(1 for v in alg._table.values() if v)
+    nonzero = sum(1 for row in alg.rows for v in row.values() if v)
     assert nonzero == n * (n + 1) // 2
     assert 2 * nonzero * s <= len(calls) <= 2 * nonzero * s + n * s
     assert len(calls) <= 2 * n * n * s + n * s

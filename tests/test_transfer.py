@@ -224,6 +224,26 @@ def test_engine_enforces_its_degree_cap():
     assert TransferEngine(SDR(bar), 4).m((x, x)) == {"h4:2#0": 1}
 
 
+class RetractSurface:
+    """Only what the recursion may read of a retract: no bar, no cohomology."""
+
+    def __init__(self, sdr):
+        self.space, self.p, self.reach = sdr.space, sdr.p, sdr.reach
+        self.incl, self.split, self.product = sdr.incl, sdr.split, sdr.product
+
+
+def test_engine_reads_only_the_retract_surface():
+    bar = build_bar(build_group_algebra("cyclic(3^1)"), 6)
+    st = transfer(bar, arity_cap=4, degree_cap=5)
+    engine = TransferEngine(RetractSurface(SDR(bar)), 5)
+    assert any(len(labels) == 3 for _, labels, _ in st.nonzero())
+    for k, table in st.ops.items():
+        assert table
+        for labels, out in table.items():
+            assert engine.m(labels) == out, labels
+    assert engine.ops == st.ops
+
+
 def test_pinned_sign_rule():
     # sigma(1, 1) must be even so that the arity 2 operation is the honest
     # cup product; the pinned rule is Merkulov's s + 1
