@@ -71,20 +71,19 @@ themselves: when the first letter's lex-smallest pair [a|b] has
 a < u_1, the lead of d[u_1|..|u_n] is [a|b|u_2|..|u_n], and otherwise
 it follows from [a|b] and the lead of d[u_2|..|u_n].  A word's row is
 built only when a reduction first reads its pivot, or when its lead is
-taken; rank then reduces it only until its lead is free, since it
-needs the leads and their count, not reduced rows.
+taken; rank's table, linalg.LeadRows, then reduces it only until its
+lead is free, since rank needs the leads and their count, not reduced
+rows.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
-import math
 from collections.abc import Mapping
 from typing import Optional
 
 from .grading import BigradedMap, BigradedSpace, InternalDegree
-from .linalg import Eliminator, column_echelon, vec_add_scaled
+from .linalg import Eliminator, LeadRows, column_echelon, vec_add_scaled
 from .groups import AlgebraMap, GradedGroupAlgebra
 
 DEFAULT_WORD_BUDGET = 5_000_000
@@ -519,15 +518,15 @@ class BarComplex:
         if a = u, it is the smaller of [u|t] and [u|b|rest], and a tie,
         which may cancel, leaves the lead to the row.  A word whose d is
         read as 0 is skipped.  When a read lead is free, the pivot table
-        (_PivotRows) stores the word's code in place of its row, and the
-        first reduction that reads the pivot builds the row.  Otherwise
+        (linalg.LeadRows) stores the word's code in place of its row, and
+        the first reduction that reads the pivot builds the row.  Otherwise
         (a tie, or the lead taken) the row is built and inserted.  Within a
         run whose letter u settles (a < u) the lead of [u|tail] is
         [a|b|tail], ab << shift | tail, read with no call; every other
         word asks _word_lead, the empty word too.
 
         An inserted row is reduced only until its lead is free
-        (_PivotRows.insert), not against every pivot it touches.  Full
+        (LeadRows.insert), not against every pivot it touches.  Full
         reduction clears the same pivot columns in the same ascending
         order up to that point, and the pivot rows it clears later only
         touch columns past their own leads, so the lead is the same; the
@@ -548,7 +547,7 @@ class BarComplex:
         if n > 0 and wt in self.census(n - 1):
             self._eliminated_rank(n - 1, s)
         leads = self._leads.pop((n - 1, s), ())
-        pivots = _PivotRows(self.field.p, lambda code: self._d_packed(code, n))
+        pivots = LeadRows(self.field.p, lambda code: self._d_packed(code, n))
         shift = self.bits * max(n - 1, 0)
         for u, tails in reversed(self._runs(n, wt)):
             high, ab = u << shift, self._heads[u] << shift
@@ -640,73 +639,6 @@ class _Blocks(Mapping):
 
     def __len__(self) -> int:
         return len(self.census)
-
-
-class _PivotRows(dict):
-    """rank's pivot table, lead -> row: a value is the row, or the code of
-    a source word whose lead was read off the word.  The first reduction
-    that reads such a lead builds the row, build(code), and keeps it.
-    Rows are stored as built or reduced only until their lead is free
-    (insert), so the table gives the leads and the rank, and nothing
-    else reads its rows; the pivot rows of every other elimination are
-    Eliminator's, fully reduced."""
-
-    __slots__ = ("p", "build")
-
-    def __init__(self, p: int, build):
-        super().__init__()
-        self.p = p
-        self.build = build
-
-    def insert(self, v: dict[int, int]) -> Optional[int]:
-        """Store a clean row the caller hands over, reduced only until its
-        lead is free; returns that lead, or None if the row reduces to 0.
-
-        Pivot columns are cleared in ascending order from a heap of pivot
-        columns only, as Eliminator._reduce does, and free tracks the
-        lowest column of v without a pivot: the reduction stops at the
-        first pivot column above it.  Fill-in lands past the column being
-        cleared, so only a cancellation can raise free, and only then is
-        it looked up again.  The row is stored as a new dict, which
-        compacts it after the deletions."""
-        p = self.p
-        heap = [c for c in v if c in self]
-        free = min((c for c in v if c not in self), default=math.inf)
-        heapq.heapify(heap)
-        pop, push = heapq.heappop, heapq.heappush
-        while heap:
-            col = pop(heap)
-            if free < col:
-                break
-            coef = v.get(col)
-            if coef is None:
-                continue
-            row = self[col]
-            if type(row) is int:
-                row = self[col] = self.build(row)
-            lead = row[col]
-            scale = p - coef if lead == 1 else (p - coef) * pow(lead, -1, p) % p
-            for c, pc in row.items():
-                old = v.get(c)
-                if old is None:
-                    v[c] = scale * pc % p
-                    if c in self:
-                        push(heap, c)
-                    elif c < free:
-                        free = c
-                else:
-                    new = (old + scale * pc) % p
-                    if new:
-                        v[c] = new
-                    else:
-                        del v[c]
-                        if c == free:
-                            free = min((c for c in v if c not in self),
-                                       default=math.inf)
-        if not v:
-            return None
-        self[free] = dict(v)
-        return free
 
 
 class BlockBasis:

@@ -23,7 +23,7 @@ from .groups import (
     GroupSpec, SpecError, build_group_algebra, canonical_spec,
     parse_group_spec, realize_weyl,
 )
-from .linalg import Eliminator, PrimeField, rref_rows, vec_add_scaled
+from .linalg import Eliminator, PrimeField, column_echelon, vec_add_scaled
 from .transfer import AInfinityStructure
 
 # a monomial is (exterior mask over t_1..t_r, exponent tuple over x_1..x_r)
@@ -106,14 +106,6 @@ class TorusModel:
             by_s.setdefault(self.mono_degrees(m)[1], []).append(m)
         return [(s, by_s[s]) for s in sorted(by_s)]
 
-    def space(self) -> BigradedSpace:
-        basis = []
-        for d in range(self.truncation + 1):
-            for m in self.monomials(d):
-                coh, s = self.mono_degrees(m)
-                basis.append((self.label(m), coh, s))
-        return BigradedSpace(self.field, basis)
-
     # -- algebra structure and the action ---------------------------------
 
     def multiply(self, u: dict[Mono, int], v: dict[Mono, int]) -> dict[Mono, int]:
@@ -134,7 +126,7 @@ class TorusModel:
 
     def act_mono(self, w: int, m: Mono) -> dict[Mono, int]:
         """Image of a basis monomial under the w action, expanded."""
-        r, p = self.rank, self.p
+        r = self.rank
         B = self._action[w]
         eps, exp = m
         result: dict[Mono, int] = {((0,) * r, (0,) * r): 1}
@@ -169,8 +161,14 @@ class InvariantReport:
 def invariant_dims(model: TorusModel) -> InvariantReport:
     """Averaging-projector invariants of the Weyl action, degreewise.
 
-    The Reynolds projector (1/|W|) sum_w w is assembled per bidegree block,
-    checked idempotent as a matrix, and its column space read off in RREF.
+    The Reynolds projector P = (1/|W|) sum_w w is assembled per bidegree
+    block and checked idempotent as a matrix.  The invariants are its
+    image, the kernel of P - 1, and the basis is that kernel in RREF:
+    column_echelon reads the columns of P - 1 from the last monomial to
+    the first, so column j is free exactly when some invariant has
+    smallest index j, and its kernel has a 1 at j, no entry below j and
+    0 at every other free column, which is the unique RREF.  Each basis
+    vector is labelled by its smallest monomial.
     Minimal generators are the invariant basis vectors not spanned by
     products of lower-degree invariants.
     """
@@ -197,7 +195,11 @@ def invariant_dims(model: TorusModel) -> InvariantReport:
                     vec_add_scaled(image, cols[k], c, p)
                 if image != col:
                     raise ArithmeticError("averaging projector is not idempotent")
-            for row in rref_rows(model.field, cols):
+            kernels = list(column_echelon(
+                Eliminator(model.field),
+                ((j, {**cols[j], j: cols[j].get(j, 0) - 1})
+                 for j in reversed(range(len(monos))))))
+            for row in reversed(kernels):
                 vec = {monos[c]: coeff for c, coeff in row.items()}
                 vecs.append(vec)
                 basis[d].append({model.label(m): c for m, c in sorted(vec.items())})

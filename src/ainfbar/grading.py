@@ -81,7 +81,7 @@ class BigradedSpace:
     def __init__(self, field: PrimeField,
                  basis: Iterable[tuple[str, int, InternalDegree]]):
         items = list(basis)
-        for label, coh, internal in items:
+        for label, _, internal in items:
             if internal.p != field.p:
                 raise ValueError("internal degree prime differs from field")
             if internal.num < 0:

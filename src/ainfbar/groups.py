@@ -175,7 +175,7 @@ class _Parser:
         raise SpecError(f"expected depth integer or 'inf', found {v!r}", pos)
 
     def signed_int(self) -> int:
-        k, v, pos = self.peek()
+        k, v, _ = self.peek()
         if k == "sym" and v == "-":
             self.next()
             n, _ = self.expect_int()
@@ -462,7 +462,6 @@ def equivariant_splitting(spec: GroupSpec) -> dict[int, list[dict]]:
     inv_order = pow(weyl.size, -1, p)
     top = []
     for i in range(r):
-        e_i = tuple(1 if t == i else 0 for t in range(r))
         acc: dict = {}
         for w in range(weyl.size):
             moved = images[weyl.inverse(w)][i]  # rho(w^-1)(Y_i)

@@ -1,23 +1,27 @@
 """Exact sparse linear algebra over prime fields.
 
 Vectors are dicts {index: coeff} with coefficients in 1..p-1 (zeros never
-stored).  All elimination goes through one engine, Eliminator, which works
-on row dicts.  Its reduction walks a heap of pivot columns only, so the
-cost of a reduction follows the pivots it clears, not the columns it
-holds.  Pivot rows are stored as built, lead coefficient included: a row
-that needs no reduction is neither copied nor scaled.  The bar's rank
-keeps its own pivot table: it holds a word until a reduction reads the
-row, and reduces a row only until its lead is free, since a rank needs
-no more; every other elimination, and any reduced row a caller reads,
-goes through Eliminator.  Two helpers build on it: column_echelon streams
-the free-variable kernel of a matrix from one tagged elimination into the
-caller's eliminator, and rref_rows gives the reduced row echelon basis of a
-span, normalized, by back-substitution over the eliminator's pivot rows.
+stored).  Every row reduction of the package lives here, one routine per
+job:
+
+- Eliminator, full reduction, on row dicts: rank, membership and
+  canonical remainders.  Its reduction walks a heap of pivot columns
+  only, so the cost of a reduction follows the pivots it clears, not the
+  columns it holds.  Pivot rows are stored as built, lead coefficient
+  included: a row that needs no reduction is neither copied nor scaled.
+- LeadRows, the bar rank's lead-only table with deferred rows: it holds
+  a word until a reduction reads the row, and reduces a row only until
+  its lead is free, since a rank needs no more.  Its rows are read by no
+  one, so any reduced row a caller reads comes from an Eliminator.
+- column_echelon, the kernel stream: the free-variable kernel of a
+  matrix, in RREF, from one tagged elimination into the caller's
+  Eliminator.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from typing import Iterable, Iterator, Optional
 
 
@@ -166,6 +170,73 @@ class Eliminator:
         return lead
 
 
+class LeadRows(dict):
+    """BarComplex.rank's pivot table, lead -> row: a value is the row, or
+    the code of a source word whose lead was read off the word.  The
+    first reduction that reads such a lead builds the row, build(code),
+    and keeps it.  Rows are stored as built or reduced only until their
+    lead is free (insert), so the table gives the leads and the rank, and
+    nothing else reads its rows; the pivot rows of every other
+    elimination are Eliminator's, fully reduced."""
+
+    __slots__ = ("p", "build")
+
+    def __init__(self, p: int, build):
+        super().__init__()
+        self.p = p
+        self.build = build
+
+    def insert(self, v: dict[int, int]) -> Optional[int]:
+        """Store a clean row the caller hands over, reduced only until its
+        lead is free; returns that lead, or None if the row reduces to 0.
+
+        Pivot columns are cleared in ascending order from a heap of pivot
+        columns only, as Eliminator._reduce does, and free tracks the
+        lowest column of v without a pivot: the reduction stops at the
+        first pivot column above it.  Fill-in lands past the column being
+        cleared, so only a cancellation can raise free, and only then is
+        it looked up again.  The row is stored as a new dict, which
+        compacts it after the deletions."""
+        p = self.p
+        heap = [c for c in v if c in self]
+        free = min((c for c in v if c not in self), default=math.inf)
+        heapq.heapify(heap)
+        pop, push = heapq.heappop, heapq.heappush
+        while heap:
+            col = pop(heap)
+            if free < col:
+                break
+            coef = v.get(col)
+            if coef is None:
+                continue
+            row = self[col]
+            if type(row) is int:
+                row = self[col] = self.build(row)
+            lead = row[col]
+            scale = p - coef if lead == 1 else (p - coef) * pow(lead, -1, p) % p
+            for c, pc in row.items():
+                old = v.get(c)
+                if old is None:
+                    v[c] = scale * pc % p
+                    if c in self:
+                        push(heap, c)
+                    elif c < free:
+                        free = c
+                else:
+                    new = (old + scale * pc) % p
+                    if new:
+                        v[c] = new
+                    else:
+                        del v[c]
+                        if c == free:
+                            free = min((c for c in v if c not in self),
+                                       default=math.inf)
+        if not v:
+            return None
+        self[free] = dict(v)
+        return free
+
+
 def column_echelon(elim: Eliminator,
                    columns: Iterable[tuple[int, dict]]) -> Iterator[dict]:
     """Kernel basis of the matrix with these columns, streamed.
@@ -204,26 +275,3 @@ def column_echelon(elim: Eliminator,
             elim._insert(dict(row) if reduced else row)
         else:
             yield row
-
-
-def rref_rows(field: PrimeField, rows: Iterable[dict]) -> list[dict]:
-    """Reduced row echelon basis of the span of rows, by pivot column.
-
-    The eliminator's pivot rows are triangular; normalizing each to a
-    leading 1 and back-substituting from the last pivot up clears every
-    other pivot column, which gives the unique RREF.
-    """
-    p = field.p
-    elim = Eliminator(field)
-    for row in rows:
-        elim.add_row(row)
-    reduced: dict[int, dict] = {}
-    for lead in sorted(elim.pivots, reverse=True):
-        row = elim.pivots[lead]
-        row = vec_scale(row, pow(row[lead], -1, p), p)
-        for col in [c for c in row if c in reduced]:
-            vec_add_scaled(row, reduced[col], p - row[col], p)
-        reduced[lead] = row
-    return [reduced[lead] for lead in sorted(reduced)]
-
-

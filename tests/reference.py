@@ -1,9 +1,12 @@
-"""Test-only reference products of a GradedGroupAlgebra, computed the long
-way, pair by pair, for the tests to compare the library's table and
-comultiplication against."""
+"""Test-only references, computed the long way for the tests to compare the
+library against: the products of a GradedGroupAlgebra pair by pair, its
+bar's comultiplication, kernels by position, and the reduced row echelon
+form by back-substitution."""
+
+from typing import Iterable
 
 from ainfbar.groups import poly_mul
-from ainfbar.linalg import Eliminator, vec_add_scaled
+from ainfbar.linalg import Eliminator, PrimeField, vec_add_scaled, vec_scale
 
 
 def reference_product(alg, u: dict, v: dict) -> dict:
@@ -108,3 +111,24 @@ def reference_forward_stream(bar, n, s, targets=None):
         len(targets))
     return ([words[j] for j in pivots],
             [{words[j]: c for j, c in k.items()} for k in kernels])
+
+
+def reference_rref(field: PrimeField, rows: Iterable[dict]) -> list[dict]:
+    """Reduced row echelon basis of the span of rows, by pivot column.
+
+    The eliminator's pivot rows are triangular; normalizing each to a
+    leading 1 and back-substituting from the last pivot up clears every
+    other pivot column, which gives the unique RREF.
+    """
+    p = field.p
+    elim = Eliminator(field)
+    for row in rows:
+        elim.add_row(row)
+    reduced: dict[int, dict] = {}
+    for lead in sorted(elim.pivots, reverse=True):
+        row = elim.pivots[lead]
+        row = vec_scale(row, pow(row[lead], -1, p), p)
+        for col in [c for c in row if c in reduced]:
+            vec_add_scaled(row, reduced[col], p - row[col], p)
+        reduced[lead] = row
+    return [reduced[lead] for lead in sorted(reduced)]

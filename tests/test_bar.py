@@ -10,15 +10,15 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from ainfbar import bar as bar_module
 from ainfbar.bar import (
-    BarComplex, BlockBasis, BudgetExceededError, Restriction, _PivotRows,
-    build_bar, restriction,
+    BarComplex, BlockBasis, BudgetExceededError, Restriction, build_bar,
+    restriction,
 )
 from ainfbar.grading import InternalDegree, internal_zero
 from ainfbar.groups import AlgebraMap, build_group_algebra, power_inclusion
-from ainfbar.linalg import Eliminator, column_echelon, rref_rows, vec_add_scaled
+from ainfbar.linalg import Eliminator, LeadRows, column_echelon, vec_add_scaled
 from ainfbar.transfer import transfer
 from packed import pack, pack_cochain, unpack, unpack_cochain
-from reference import reference_comult, reference_forward_stream
+from reference import reference_comult, reference_forward_stream, reference_rref
 from test_groups import ORACLE_SPECS
 
 
@@ -759,7 +759,7 @@ def test_packed_differential_matches_tuple_expansion(bar):
             if n < bar.cap:
                 rank = bar.rank(n, s)
                 assert rank == len(reference_forward_stream(bar, n, s)[0])
-                assert rank == len(rref_rows(bar.field, rows))
+                assert rank == len(reference_rref(bar.field, rows))
 
 
 def test_weyl_major_rank_needs_few_reductions(monkeypatch):
@@ -772,14 +772,14 @@ def test_weyl_major_rank_needs_few_reductions(monkeypatch):
     # already has a pivot in rank's table
     bar = build_bar(build_group_algebra("semidirect(torus(3,1,2), inversion)"), 4)
     calls = []
-    insert = _PivotRows.insert
+    insert = LeadRows.insert
 
     def counting_insert(self, v):
         if min(v) in self:
             calls.append(1)
         return insert(self, v)
 
-    monkeypatch.setattr(_PivotRows, "insert", counting_insert)
+    monkeypatch.setattr(LeadRows, "insert", counting_insert)
     ranks = sum(bar.rank(n, s) for n in range(4) for s in bar.blocks(n))
     assert ranks == 4926
     assert 0 < len(calls) <= 300
@@ -805,7 +805,7 @@ def test_rank_feeds_only_a_complement_of_the_boundaries(monkeypatch, spec, cap):
     # no action, would otherwise replace by a count
     bar = eliminating(build_bar(build_group_algebra(spec), cap))
     zeros, known = [], []
-    insert = _PivotRows.insert
+    insert = LeadRows.insert
 
     def counting_insert(self, v):
         lead = insert(self, v)
@@ -819,7 +819,7 @@ def test_rank_feeds_only_a_complement_of_the_boundaries(monkeypatch, spec, cap):
             known.append(code)
         return lead
 
-    monkeypatch.setattr(_PivotRows, "insert", counting_insert)
+    monkeypatch.setattr(LeadRows, "insert", counting_insert)
     word_lead = bar._word_lead
     monkeypatch.setattr(bar, "_word_lead", counting_lead)
     coh = bar.cohomology()
@@ -1011,7 +1011,7 @@ def test_deferred_pivot_rows_equal_the_eager_ones(monkeypatch, spec, a_major):
         relabel_a_major(bar)
     tables, fed, taken = [], [], []
 
-    class Recording(_PivotRows):
+    class Recording(LeadRows):
         # fed gets each deferred word's code and a copy of each inserted
         # row; taken each inserted row whose smallest word is a pivot
         def __init__(self, p, build):
@@ -1029,7 +1029,7 @@ def test_deferred_pivot_rows_equal_the_eager_ones(monkeypatch, spec, a_major):
                 taken.append(v)
             return super().insert(v)
 
-    monkeypatch.setattr("ainfbar.bar._PivotRows", Recording)
+    monkeypatch.setattr("ainfbar.bar.LeadRows", Recording)
     deferred, below = 0, {}
     for n in range(bar.cap):
         for s in bar.blocks(n):
@@ -1047,7 +1047,7 @@ def test_deferred_pivot_rows_equal_the_eager_ones(monkeypatch, spec, a_major):
             for lead, row in pivots.items():
                 if type(row) is int:
                     pivots[lead] = bar._d_packed(row, n)
-            eager = _PivotRows(bar.field.p, None)
+            eager = LeadRows(bar.field.p, None)
             full = Eliminator(bar.field)
             for row in fed:
                 if type(row) is int:

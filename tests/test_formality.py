@@ -10,6 +10,7 @@ from ainfbar.formality import (
 from ainfbar.grading import InternalDegree
 from ainfbar.groups import SpecError, build_group_algebra
 from ainfbar.transfer import transfer
+from reference import reference_rref
 
 
 def exterior_poly_fixed_count(p_parity_flips: bool, degree: int) -> int:
@@ -26,8 +27,7 @@ def exterior_poly_fixed_count(p_parity_flips: bool, degree: int) -> int:
 
 
 def test_model_basis_bidegrees():
-    m = TorusModel("cyclic(3^1)", 5)
-    space = m.space()
+    space = invariant_dims(TorusModel("cyclic(3^1)", 5)).space
     assert space.degrees("t1") == (1, InternalDegree(3, 1, 1))
     assert space.degrees("x1") == (2, InternalDegree(3, 1))
     assert space.degrees("t1*x1^2") == (5, InternalDegree(3, 7, 1))
@@ -35,11 +35,11 @@ def test_model_basis_bidegrees():
 
 
 def test_colimit_model_has_no_exterior_classes():
-    m = TorusModel("colimit(cyclic(3^inf))", 6)
-    labels = m.space().labels()
+    space = invariant_dims(TorusModel("colimit(cyclic(3^inf))", 6)).space
+    labels = space.labels()
     assert labels == ["1", "x1", "x1^2", "x1^3"]
     for label in labels[1:]:
-        coh, s = m.space().degrees(label)
+        coh, s = space.degrees(label)
         assert s.scaled(2) == InternalDegree(3, coh)
 
 
@@ -185,6 +185,41 @@ def test_invariant_report_is_deterministic():
     b = invariant_dims(TorusModel("semidirect(torus(3,1,2), inversion)", 4))
     assert a.dims == b.dims and a.basis == b.basis
     assert a.minimal_generators == b.minimal_generators
+
+
+@pytest.mark.parametrize("spec,mixed", [
+    ("semidirect(torus(2,1,2), Z3:[[0,1],[1,1]])", True),
+    ("semidirect(torus(5,1,2), Z4:[[0,-1],[1,0]])", True),
+    ("colimit(semidirect(torus(7,inf,2), Z3:[[0,-1],[1,-1]]))", True),
+    ("semidirect(torus(3,1,3), inversion)", False),
+    ("torus(3,1,2)", False),
+])
+def test_invariant_bases_are_the_rref_of_the_projector_image(spec, mixed):
+    # the Z3 and Z4 actions mix monomials, so some basis vectors have
+    # several terms and only the RREF fixes them: reading the columns of
+    # P - 1 forward gives other bases on these three.  With inversion, or
+    # no action, P is diagonal and every basis vector is one monomial
+    model = TorusModel(spec, 10)
+    p, order = model.p, model.weyl.size
+    inv_order = pow(order, -1, p)
+    want = {}
+    for d in range(11):
+        want[d] = []
+        for _, monos in model.blocks(d):
+            index = {m: i for i, m in enumerate(monos)}
+            cols = []
+            for m in monos:
+                col = {}
+                for w in range(order):
+                    for m2, c in model.act_mono(w, m).items():
+                        k = index[m2]
+                        col[k] = (col.get(k, 0) + c * inv_order) % p
+                cols.append(col)
+            for row in reference_rref(model.field, cols):
+                want[d].append({model.label(monos[c]): v
+                                for c, v in sorted(row.items())})
+    assert invariant_dims(model).basis == want
+    assert any(len(vec) > 1 for vecs in want.values() for vec in vecs) == mixed
 
 
 def test_bad_truncation_rejected():

@@ -1,5 +1,6 @@
-"""Every name a module under src/ imports is used in that module, and every
-function, class and method defined under src/ is used somewhere in src/."""
+"""Every name a module under src/ imports is used in that module, every
+function, class and method defined under src/ is used somewhere in src/,
+and every local a function under src/ assigns is read in that function."""
 
 from __future__ import annotations
 
@@ -70,3 +71,48 @@ def test_src_has_no_dead_definitions():
              for path in sorted(SRC.rglob("*.py"))}
     found = [d for d in dead_definitions(trees) if d.split()[0] not in UNCALLED_API]
     assert found == []
+
+
+def dead_locals(tree: ast.Module) -> list[str]:
+    """Names a function assigns but never reads, names starting with _
+    exempt.  A function's own assignments are those outside the functions,
+    lambdas and classes nested in it; its reads include theirs, since a
+    closure reads the names it uses."""
+    found: list[str] = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        stored: dict[str, int] = {}
+        todo = list(fn.body)
+        while todo:
+            node = todo.pop()
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.Lambda, ast.ClassDef)):
+                continue
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                stored[node.id] = min(node.lineno,
+                                      stored.get(node.id, node.lineno))
+            todo.extend(ast.iter_child_nodes(node))
+        read = {node.id for node in ast.walk(fn)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        found += [f"{fn.name}: {name} (line {line})"
+                  for name, line in sorted(stored.items(),
+                                           key=lambda kv: kv[1])
+                  if name not in read and not name.startswith("_")]
+    return found
+
+
+def test_dead_locals_flag_an_unread_name():
+    tree = ast.parse("def f(xs):\n    a, b = 1, 2\n    for x, _y in xs:\n"
+                     "        c = x\n    def g():\n        return a\n"
+                     "    return g\n")
+    assert dead_locals(tree) == ["f: b (line 2)", "f: c (line 4)"]
+
+
+def test_src_has_no_dead_locals():
+    found = {}
+    for path in sorted(SRC.rglob("*.py")):
+        names = dead_locals(ast.parse(path.read_text(), str(path)))
+        if names:
+            found[str(path.relative_to(SRC))] = names
+    assert found == {}
