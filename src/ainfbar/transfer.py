@@ -27,6 +27,15 @@ inputs; m_n = proj . lam_n.  The split exponent sigma(s, t) = 1 + s is
 pinned by the exact associativity ladder tests in the suite; the Koszul
 factor comes from moving the degree 1 - t operator h lam_t past the left
 inputs.
+
+One face rule decides which tuples get an operation: a k-tuple, k >= 2, is
+tabulated exactly when both its faces tup[:-1] and tup[1:] are (a 1-tuple
+always is) and its own intermediate lam_k, of cohomological degree
+sum(d) + 2 - k, is within the degree cap.  The rule is exact because every
+contiguous run of length >= 2 is the whole tuple or lies in a face.
+transfer grows each table from the one below by it, the Stasheff check
+visits the same join one arity up, and the engine solves a tuple once both
+its faces are solved, from an explicit stack, so nothing recurses.
 """
 
 from __future__ import annotations
@@ -35,7 +44,7 @@ import itertools
 from typing import Optional
 
 from .bar import BarComplex
-from .grading import BigradedSpace, internal_zero
+from .grading import BigradedSpace
 from .linalg import vec_add_scaled
 
 
@@ -131,26 +140,24 @@ class AInfinityStructure:
                     yield k, labels, out
 
 
-def _max_intermediate(degs: list[int]) -> int:
-    """Largest cohomological degree of any transfer intermediate: the best
-    contiguous run of (deg - 1) plus 2, over runs of length >= 2."""
-    best = None
-    n = len(degs)
-    for i in range(n - 1):
-        run = degs[i] - 1
-        for j in range(i + 1, n):
-            run += degs[j] - 1
-            if best is None or run > best:
-                best = run
-    return (best if best is not None else 0) + 2
+def _joins(table):
+    """Every tuple one longer than the table's whose two faces, tup[:-1] and
+    tup[1:], are both in it, ordered by the first face, then the second."""
+    nexts: dict[tuple, list] = {}
+    for tup in table:
+        nexts.setdefault(tup[:-1], []).append(tup[-1])
+    for tup in table:
+        for label in nexts.get(tup[1:], ()):
+            yield tup + (label,)
 
 
 class TransferEngine:
     """Split recursion over an SDR, memoized on label tuples.
 
     The degree cap bounds every transfer intermediate: the SDR must reach
-    it, and m refuses a tuple whose intermediates would pass it, both with
-    CapOverflowError.  ops[k][labels] memoizes m on arity k tuples.
+    it, and lam refuses a tuple whose own intermediate would pass it, both
+    with CapOverflowError; by the face rule that covers every intermediate.
+    ops[k][labels] memoizes m on arity k tuples.
     """
 
     def __init__(self, sdr: SDR, degree_cap: int):
@@ -163,52 +170,48 @@ class TransferEngine:
         self._hl: dict[tuple, dict] = {}
         self.ops: dict[int, dict[tuple, dict[str, int]]] = {}
 
-    def _cohdeg(self, label: str) -> int:
-        return self.sdr.space.degrees(label)[0]
-
     def hlam(self, labels: tuple) -> dict:
         """h lam of a tuple; above arity 1 the same solve also gives m."""
-        got = self._hl.get(labels)
-        if got is not None:
-            return got
-        if len(labels) == 1:
-            p = self.sdr.p
-            out = {w: (p - c) % p for w, c in self.sdr.incl(labels[0]).items()}
-        else:
-            table = self.ops.setdefault(len(labels), {})
-            out, table[labels] = self.sdr.split(self.lam(labels))
-        self._hl[labels] = out
-        return out
+        memo, p = self._hl, self.sdr.p
+        stack = [labels]
+        while stack:
+            tup = stack[-1]
+            if tup in memo:
+                stack.pop()
+            elif len(tup) == 1:
+                memo[tup] = {w: (p - c) % p for w, c in self.sdr.incl(tup[0]).items()}
+            else:
+                waiting = [face for face in (tup[:-1], tup[1:]) if face not in memo]
+                if waiting:
+                    stack.extend(waiting)
+                    continue
+                table = self.ops.setdefault(len(tup), {})
+                memo[tup], table[tup] = self.sdr.split(self.lam(tup))
+        return memo[labels]
 
     def lam(self, labels: tuple) -> dict:
-        n = len(labels)
-        p, product = self.sdr.p, self.sdr.product
-        d_lefts = list(itertools.accumulate(self._cohdeg(l) for l in labels))
+        """lam of a tuple whose faces are solved, read off the memo."""
+        n, memo = len(labels), self._hl
+        p, product, space = self.sdr.p, self.sdr.product, self.sdr.space
+        d_lefts = list(itertools.accumulate(space.degrees(l)[0] for l in labels))
+        if d_lefts[-1] + 2 - n > self.degree_cap:
+            raise CapOverflowError(
+                f"an arity {n} intermediate lands in degree {d_lefts[-1] + 2 - n}, "
+                f"past the degree cap {self.degree_cap}")
         acc: dict = {}
         for cut in range(1, n):
-            left, right = labels[:cut], labels[cut:]
-            hl = self.hlam(left)
+            hl = memo[labels[:cut]]
             if not hl:
-                continue
-            hr = self.hlam(right)
-            if not hr:
                 continue
             t = n - cut
             exp = sigma(cut, t) + (t + 1) * d_lefts[cut - 1]
             coeff = 1 if exp % 2 == 0 else p - 1
-            vec_add_scaled(acc, product(hl, hr), coeff, p)
+            vec_add_scaled(acc, product(hl, memo[labels[cut:]]), coeff, p)
         return acc
 
     def m(self, labels: tuple) -> dict[str, int]:
         """m_k on a tuple of k >= 2 labels, read off the solve for h lam."""
-        table = self.ops.get(len(labels), {})
-        if labels not in table:
-            top = _max_intermediate([self._cohdeg(l) for l in labels])
-            if top > self.degree_cap:
-                raise CapOverflowError(
-                    f"m_{len(labels)} needs intermediates in degree {top}, "
-                    f"past the degree cap {self.degree_cap}")
-            self.hlam(labels)
+        self.hlam(labels)
         return self.ops[len(labels)][labels]
 
 
@@ -217,68 +220,64 @@ def transfer(bar: BarComplex, arity_cap: int, degree_cap: int) -> AInfinityStruc
 
     Operations are tabulated on every tuple of class labels whose transfer
     intermediates all stay within degree_cap.  The bar complex must reach
-    one degree past the cap, otherwise CapOverflowError.  The tables are the
-    engine's memo: every tuple the recursion solves is a contiguous
-    sub-tuple of a tabulated one, so it is tabulated itself.
+    one degree past the cap, otherwise CapOverflowError.  ops[k] grows from
+    ops[k - 1] by the face rule, carrying each tuple's bidegree.  The tables
+    are the engine's memo, filled in product order of the labels.
     """
     if arity_cap < 2:
         raise ValueError("arity cap must be at least 2")
     engine = TransferEngine(SDR(bar), degree_cap)
-    space, p = engine.sdr.space, engine.sdr.p
-    labels = [l for l in space.labels() if space.degrees(l)[0] <= degree_cap]
+    space = engine.sdr.space
+    degrees = {l: space.degrees(l) for l in space.labels()}
+    level = {(l,): degrees[l] for l in degrees}
     for k in range(2, arity_cap + 1):
-        for tup in itertools.product(labels, repeat=k):
-            degs = [space.degrees(l)[0] for l in tup]
-            if _max_intermediate(degs) > degree_cap:
+        grown = {}
+        for tup in _joins(level):
+            (coh, internal), (d, i) = level[tup[:-1]], degrees[tup[-1]]
+            coh, internal = coh + d, internal + i
+            if coh + 2 - k > degree_cap:
                 continue
-            want_coh = sum(degs) + 2 - k
-            want_int = internal_zero(p)
-            for l in tup:
-                want_int = want_int + space.degrees(l)[1]
-            for label in engine.m(tup):
-                if space.degrees(label) != (want_coh, want_int):
+            grown[tup] = coh, internal
+            for out in engine.m(tup):
+                if degrees[out] != (coh + 2 - k, internal):
                     raise AssertionError(
-                        f"m_{k}{tup} output {label} violates the bidegree")
+                        f"m_{k}{tup} output {out} violates the bidegree")
+        level = grown
     return AInfinityStructure(space, arity_cap, engine.ops)
 
 
+def _residual(struct: AInfinityStructure, tup: tuple):
+    """The associativity residual on tup, or None if an outer term is
+    untabulated; every inner term is, once both faces of tup are."""
+    n, p, space = len(tup), struct.field.p, struct.space
+    before = list(itertools.accumulate((space.degrees(l)[0] for l in tup), initial=0))
+    residual: dict[str, int] = {}
+    for r in range(n - 1):
+        for s_len in range(2, n - r + 1):
+            t = n - r - s_len
+            if r + 1 + t < 2:
+                continue
+            exp = r + s_len * (t + before[r])
+            coeff = 1 if exp % 2 == 0 else p - 1
+            for mid, c in struct.ops[s_len][tup[r:r + s_len]].items():
+                outer = struct.op(tup[:r] + (mid,) + tup[r + s_len:])
+                if outer is None:
+                    return None
+                vec_add_scaled(residual, outer, coeff * c, p)
+    return residual
+
+
 def stasheff_residuals(struct: AInfinityStructure, n: int):
-    """Residuals of the arity n associativity relation on all label tuples
-    where every needed operation was tabulated.
+    """Residuals of the arity n associativity relation on every tuple whose
+    faces are tabulated at arity n - 1, skipping a tuple with an untabulated
+    outer term.
 
     Yields (labels, residual) pairs; a correct transfer yields residual {}
-    everywhere.  Tuples with any untabulated term are skipped.
+    everywhere.
     """
-    p = struct.field.p
-    labels = struct.space.labels()
-    for tup in itertools.product(labels, repeat=n):
-        residual: dict[str, int] = {}
-        usable = True
-        for r in range(n - 1):
-            for s_len in range(2, n - r + 1):
-                t = n - r - s_len
-                if r + 1 + t < 2:
-                    continue
-                inner = struct.op(tup[r:r + s_len])
-                if inner is None:
-                    usable = False
-                    break
-                sign_exp = r + s_len * t
-                sign_exp += s_len * sum(struct.space.degrees(l)[0]
-                                        for l in tup[:r])
-                coeff = 1 if sign_exp % 2 == 0 else p - 1
-                for mid, c in inner.items():
-                    outer_tup = tup[:r] + (mid,) + tup[r + s_len:]
-                    outer = struct.op(outer_tup)
-                    if outer is None:
-                        usable = False
-                        break
-                    vec_add_scaled(residual, outer, coeff * c, p)
-                if not usable:
-                    break
-            if not usable:
-                break
-        if usable:
+    for tup in _joins(struct.ops[n - 1]):
+        residual = _residual(struct, tup)
+        if residual is not None:
             yield tup, residual
 
 

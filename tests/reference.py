@@ -1,8 +1,10 @@
 """Test-only references, computed the long way for the tests to compare the
 library against: the products of a GradedGroupAlgebra pair by pair, its
-bar's comultiplication, kernels by position, and the reduced row echelon
-form by back-substitution."""
+bar's comultiplication, kernels by position, the reduced row echelon form
+by back-substitution, and the transfer's tabulated tuples and Stasheff
+residuals by a walk over every label tuple."""
 
+import itertools
 from typing import Iterable
 
 from ainfbar.groups import poly_mul
@@ -132,3 +134,55 @@ def reference_rref(field: PrimeField, rows: Iterable[dict]) -> list[dict]:
             vec_add_scaled(row, reduced[col], p - row[col], p)
         reduced[lead] = row
     return [reduced[lead] for lead in sorted(reduced)]
+
+
+def max_intermediate(degs: list[int]) -> int:
+    """Largest cohomological degree of any transfer intermediate: the best
+    contiguous run of (deg - 1) plus 2, over runs of length >= 2."""
+    best = None
+    n = len(degs)
+    for i in range(n - 1):
+        run = degs[i] - 1
+        for j in range(i + 1, n):
+            run += degs[j] - 1
+            if best is None or run > best:
+                best = run
+    return (best if best is not None else 0) + 2
+
+
+def reference_tuples(space, k: int, degree_cap: int) -> list[tuple]:
+    """Every k-tuple of labels whose intermediates all stay within the cap,
+    in itertools.product order over the labels."""
+    return [tup for tup in itertools.product(space.labels(), repeat=k)
+            if max_intermediate([space.degrees(l)[0] for l in tup]) <= degree_cap]
+
+
+def reference_stasheff_residuals(struct, n: int) -> list[tuple]:
+    """(labels, residual) of the arity n associativity relation on every
+    label tuple in product order where each term read is tabulated."""
+    p = struct.field.p
+    found = []
+    for tup in itertools.product(struct.space.labels(), repeat=n):
+        residual: dict = {}
+        usable = True
+        for r in range(n - 1):
+            for s_len in range(2, n - r + 1):
+                t = n - r - s_len
+                if r + 1 + t < 2 or not usable:
+                    continue
+                inner = struct.op(tup[r:r + s_len])
+                if inner is None:
+                    usable = False
+                    continue
+                sign_exp = r + s_len * t
+                sign_exp += s_len * sum(struct.space.degrees(l)[0] for l in tup[:r])
+                coeff = 1 if sign_exp % 2 == 0 else p - 1
+                for mid, c in inner.items():
+                    outer = struct.op(tup[:r] + (mid,) + tup[r + s_len:])
+                    if outer is None:
+                        usable = False
+                        break
+                    vec_add_scaled(residual, outer, coeff * c, p)
+        if usable:
+            found.append((tup, residual))
+    return found

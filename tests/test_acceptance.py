@@ -57,9 +57,8 @@ def test_criterion_04_massey_product_oracles(run):
 
 def test_criterion_05_stasheff_relations(run):
     res = run(5)
-    assert set(res.data["checked"]) == {"cyclic(2^1)", "cyclic(3^1)",
-                                        "cyclic(2^2)"}
-    assert all(n > 0 for n in res.data["checked"].values())
+    assert res.data["checked"] == {"cyclic(2^1)": 1205, "cyclic(3^1)": 1257,
+                                   "cyclic(2^2)": 1292}
     assert res.data["sdr_vectors"] == {"cyclic(2^1)": 6, "cyclic(3^1)": 63,
                                        "cyclic(2^2)": 364}
     assert all(n > 0 for n in res.data["sdr_vectors"].values())

@@ -73,3 +73,17 @@ def test_cli_default_z9_transfer_report_is_pinned():
     assert code == 0
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
         "e2c3320f01384b9feb32e6a4cc5c385742ded76a874e1d094b2a336f88f5b311")
+
+
+@pytest.mark.parametrize("argv,sha", [
+    # transfer at its CLI defaults on torus(3,1,2)
+    (["--spec", "torus(3,1,2)"],
+     "eed4ba72f358fdbde57d01cc29319e7024789132592adfd7bb097d885ecef7ca"),
+    # one class per degree up to 3, tabulated to arity 9
+    (["--spec", "cyclic(3^1)", "--max-degree", "3", "--max-arity", "9"],
+     "bc912b7cbfbfb76bf68b8d3c03f82c254b8d64bb8bc5612e6542bb1aa6f5cf94"),
+], ids=["torus312-defaults", "z3-d3-a9"])
+def test_long_transfer_reports_are_pinned(argv, sha):
+    code, text, _ = cli.run_report(["transfer"] + argv + ["--no-cache"])
+    assert code == 0
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == sha

@@ -1,6 +1,5 @@
 import functools
 import hashlib
-import itertools
 import json
 
 import pytest
@@ -11,10 +10,11 @@ from ainfbar.grading import internal_zero
 from ainfbar.groups import build_group_algebra
 from ainfbar.linalg import vec_add_scaled
 from ainfbar.transfer import (
-    CapOverflowError, SDR, TransferEngine, _max_intermediate, check_stasheff,
-    sigma, transfer,
+    CapOverflowError, SDR, TransferEngine, check_stasheff, sigma,
+    stasheff_residuals, transfer,
 )
 from packed import pack_cochain, unpack_cochain
+from reference import reference_stasheff_residuals, reference_tuples
 
 
 def cup_all(p, *reps):
@@ -155,6 +155,22 @@ def test_lpwz_witness_on_demand(spec, q):
     assert list(out) == [x] and out[x] != 0
 
 
+def test_cold_m_needs_no_recursion():
+    # a tuple is solved once both faces are, from an explicit stack: an
+    # arity past the interpreter's recursion limit returns, and a cold
+    # witness agrees with the one built up arity by arity
+    bar = build_bar(build_group_algebra("cyclic(3^1)"), 3)
+    (t,) = [l for l in bar.cohomology().space.labels() if l.startswith("h1:")]
+    assert TransferEngine(SDR(bar), 2).m((t,) * 512) == {}
+    bar = build_bar(build_group_algebra("cyclic(3^5)"), 3)
+    (t,) = [l for l in bar.cohomology().space.labels() if l.startswith("h1:")]
+    cold = TransferEngine(SDR(bar), 2).m((t,) * 243)
+    warm = TransferEngine(SDR(bar), 2)
+    for k in range(2, 243):
+        warm.m((t,) * k)
+    assert cold == warm.m((t,) * 243) == {"h2:1#0": 2}
+
+
 def test_strict_unitality():
     alg = build_group_algebra("cyclic(3^1)")
     st = transfer(build_bar(alg, 6), arity_cap=4, degree_cap=5)
@@ -280,9 +296,7 @@ def test_semidirect_op_table_is_pinned():
 def test_one_coordinate_solve_per_lambda(monkeypatch):
     bar = build_bar(build_group_algebra("cyclic(2^2)"), 5)
     space = bar.cohomology().space
-    labels = space.labels()
-    tuples = [tup for k in (3, 2, 4) for tup in itertools.product(labels, repeat=k)
-              if _max_intermediate([space.degrees(l)[0] for l in tup]) <= 4]
+    tuples = [tup for k in (3, 2, 4) for tup in reference_tuples(space, k, 4)]
     solves = []
     coords = BlockBasis.coords
     monkeypatch.setattr(BlockBasis, "coords",
@@ -331,3 +345,21 @@ def test_sdr_identities_and_stasheff_on_small_specs(bar):
     checked, failures = check_stasheff(ops)
     assert checked > 0
     assert failures == []
+
+
+@settings(max_examples=25, deadline=None)
+@given(small_transfer_bars(), st.integers(2, 5))
+def test_face_rule_matches_the_walk_over_every_tuple(bar, arity_cap):
+    # ops[k] holds exactly the tuples with every intermediate within the
+    # cap, in product order, and the Stasheff check visits exactly the
+    # tuples whose terms are all tabulated, with the same residuals
+    degree_cap = bar.cap - 1
+    ops = transfer(bar, arity_cap=arity_cap, degree_cap=degree_cap)
+    for k in range(2, arity_cap + 1):
+        assert list(ops.ops[k]) == reference_tuples(ops.space, k, degree_cap)
+    walked = []
+    for n in range(3, arity_cap + 2):
+        found = reference_stasheff_residuals(ops, n)
+        assert list(stasheff_residuals(ops, n)) == found
+        walked += found
+    assert check_stasheff(ops) == (len(walked), [(t, r) for t, r in walked if r])
