@@ -146,8 +146,10 @@ class BarComplex:
         in code order.  The first table holds the negated coefficients,
         for the positions i = 0, 2, 4, .. (from 0) whose sign (-1)^(i+1) is
         -1.  Letter a is e_a, or e_a - 1 when e_a is in W (augmentation 1).
-        Pairs of letters outside W are read off the nonzero entries in the
-        algebra's rows; a pair with a letter w - 1 is expanded into four
+        Pairs of letters outside W are read in one walk of the algebra's
+        rule, row by row over its nonzero products e_a e_b, each as the
+        terms (k, c) of its torus part and its shift to w w2 (row), with no
+        dict per product; a pair with a letter w - 1 is expanded into four
         products for every partner, since (w - 1) e_b = w e_b - e_b is not
         zero where w e_b is.  Each listed product must have augmentation 0,
         and dropping its unit coefficient writes it on the letters."""
@@ -160,18 +162,20 @@ class BarComplex:
             prod: dict[int, int] = {}
             for i, ci in ((a, 1), (unit, -aug[a])):
                 for j, cj in ((b, 1), (unit, -aug[b])):
-                    vec_add_scaled(prod, alg.mult(i, j), ci * cj, p)
+                    if ci * cj:
+                        vec_add_scaled(prod, alg.mult(i, j), ci * cj, p)
             return prod
 
         products = itertools.chain(
-            ((a, b, prod) for a, row in enumerate(alg.rows) if not aug[a]
-             for b, prod in row.items() if not aug[b]),
-            ((a, b, expanded(a, b)) for a in self.letters
+            ((a, b, shift, fit) for a in self.letters if not aug[a]
+             for b, shift, fit in alg.row(a) if not aug[b]),
+            ((a, b, 0, expanded(a, b).items()) for a in self.letters
              for b in (self.letters if aug[a] else weyl)))
         plus: dict[int, list[tuple[int, int]]] = {u: [] for u in self.letters}
-        for a, b, prod in products:
+        for a, b, shift, terms in products:
             ab, eps = (a << bits) | b, 0
-            for u, c in prod.items():
+            for k, c in terms:
+                u = shift + k
                 if aug[u]:
                     eps += c
                 if u != unit:

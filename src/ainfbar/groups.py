@@ -8,6 +8,10 @@ the torus; conjugation then mixes the naive weights, so the algebra is built
 on the canonical W-stable generator lifts obtained by Reynolds-averaging the
 naive degree-one projection.  In the lifted monomial basis the multiplication
 is genuinely graded again, which is what the bar complex downstream needs.
+It is a rule, not a table: (X^a w)(X^b w') = X^a c_w(X^b) ww', the smash
+product F_p[T] # W, with the conjugates c_w(X^b) = w X^b w^{-1} stored once
+per (w, b) and checked to be graded there, and every product computed from
+them when it is read (GradedGroupAlgebra).
 
 Group descriptions are parsed from a small grammar:
 
@@ -509,95 +513,129 @@ def _check_lifts(top: list[dict], images, weyl: WeylGroup, spec: GroupSpec) -> N
 class GradedGroupAlgebra:
     """F_p basis {X^a w}, X the canonical lifted generators, w in W.
 
-    The multiplication table is exact: (X^a w)(X^b w') expands
-    w X^b w^{-1} through the mod-p action matrix (linear in the lifts, a
-    consequence of stability), multiplies in the truncated polynomial ring,
-    and shifts by a.  The basis is Weyl-major: X^a w has index
+    The product is a rule, not a table.  The algebra is the smash product
+    F_p[T] # W (S. Montgomery, Hopf Algebras and Their Actions on Rings,
+    ch. 4):
+
+        (X^a w)(X^b w2) = X^a c_w(X^b) (w w2),
+
+    c_w(X^b) = w X^b w^{-1} a polynomial in the X, linear on the lifts
+    through the mod-p action matrix (a consequence of stability), and
+    X^a X^m = X^(a+m) when a + m is under the caps, else 0.  The algebra
+    stores only the rule's inputs, the conjugates conj[w][lin(b)] =
+    c_w(X^b) as terms (packed m, lin(m), coeff), and mult and row compute
+    products from them when called, so nothing of the size of the product
+    table is ever held.  The basis is Weyl-major: X^a w has index
     w |T| + lin(a), |T| = torus_dim the number of exponent vectors a and
     lin(a) the mixed-radix position of a, last exponent fastest, so a
     product term X^(a+m) w'' has index w'' |T| + lin(a) + lin(m) with no
-    lookup, and F_p[T] is the first |T| indices.  Each
-    term of each nonzero entry, the only ones stored, is checked to keep
-    the internal degree sum(a_i / p^{n_i}), as the integer weights[i] over
-    p^top, top the largest depth; elements of W sit in degree zero.
+    lookup, and F_p[T] is the first |T| indices.  The internal degree
+    sum(a_i / p^{n_i}) is the integer weights[i] over p^top, top the
+    largest depth; elements of W sit in degree zero.  Gradedness is checked
+    once per conjugate term, wt(m) = wt(b), as the rule is built: since
+    wt(a + m) = wt(a) + wt(m), every product is then graded.
     """
 
     def __init__(self, spec: GroupSpec):
         self.spec = spec
         self.field = PrimeField(spec.p)
-        self.weyl = weyl = realize_weyl(spec)
+        self.weyl = realize_weyl(spec)
         p = spec.p
         caps = tuple(p ** d for d in spec.depths)
         self.caps = caps
         exps = list(itertools.product(*(range(c) for c in caps)))
         self.torus_dim = len(exps)
         self.basis_keys: list[tuple[tuple[int, ...], int]] = [
-            (a, w) for w in range(weyl.size) for a in exps]
+            (a, w) for w in range(self.weyl.size) for a in exps]
         self.index = {key: i for i, key in enumerate(self.basis_keys)}
         self.dim = len(self.basis_keys)
         self.top = max(spec.depths)
         self.weights = [sum(ai * p ** (self.top - ni) for ai, ni in zip(a, spec.depths))
                         for a, _ in self.basis_keys]
         self.unit_index = 0  # X^0 times the identity of W
-        # rows[i][j] = e_i e_j, nonzero entries only, each row in j order
-        self.rows: list[dict[int, dict[int, int]]] = [{} for _ in range(self.dim)]
-        self._build_table(exps)
+        self._build_rule(exps)
 
     def degree(self, i: int) -> InternalDegree:
         return InternalDegree(self.spec.p, self.weights[i], self.top)
 
-    def _build_table(self, exps: list[tuple[int, ...]]) -> None:
-        """conj[w][ib] is w X^b w^{-1} as (packed m, lin(m), coeff), w X_j
-        w^{-1} linear in the lifts through the action matrix mod p.
-        (X^a w)(X^b w2) has its terms X^(a+m) (w w2) at
-        (w w2) |T| + lin(a) + lin(m), for the m with a + m under the caps:
-        each is checked to be graded, found once per (a, w, b) and written
-        for every w2, in (i, j) order.  The fit test is one add and one
-        mask: exponents sit in fields of width + 1 bits, 2^width >= every
-        cap, m as it is and a plus 2^width - cap_t in field t, so field t of
-        the sum stays below 2^(width + 1) and sets its top bit exactly when
+    def _build_rule(self, exps: list[tuple[int, ...]]) -> None:
+        """conj[w][lin(b)] is c_w(X^b) as terms (packed m, lin(m), coeff),
+        built from the conjugate a coordinate lower by one truncated
+        product, c_w(X^b) = c_w(X^(b - e_t)) c_w(X_t), t the last
+        coordinate with b_t > 0, and c_w(X_t) = sum_k (A_w mod p)_{kt} X_k.
+        Each term is checked to be graded.  packed[lin(a)] and guard make
+        the fit test "a + m under the caps" one add and one mask: exponents
+        sit in fields of width + 1 bits, 2^width >= every cap, m as it is
+        and a plus 2^width - cap_t in field t, so field t of the sum stays
+        below 2^(width + 1) and sets its top bit exactly when
         a_t + m_t >= cap_t."""
         p, caps, r, wt = self.spec.p, self.caps, self.spec.rank, self.weights
-        weyl, nw, nt = self.weyl, self.weyl.size, self.torus_dim
         strides = [math.prod(caps[t + 1:]) for t in range(r)]
         width = (max(caps) - 1).bit_length()
         shifts = [t * (width + 1) for t in range(r)]
-        guard = sum(1 << (s + width) for s in shifts)
+        self.guard = sum(1 << (s + width) for s in shifts)
         bias = sum(((1 << width) - c) << s for c, s in zip(caps, shifts))
-        packed = [bias + sum(x << s for x, s in zip(a, shifts)) for a in exps]
-        conj = []
-        for w in range(nw):
-            mat = weyl.matrix(w)
-            linear = [{tuple(int(t == k) for t in range(r)): mat[k][j] % p
-                       for k in range(r) if mat[k][j] % p} for j in range(r)]
-            conj.append([[(sum(x << s for x, s in zip(m, shifts)),
-                           sum(x * s for x, s in zip(m, strides)), c)
-                          for m, c in _conj_monomial(linear, b, caps, p).items()]
-                         for b in exps])
-        for w in range(nw):
-            for ia, pa in enumerate(packed):
-                fits = []
-                for ib, terms in enumerate(conj[w]):
-                    want = wt[ia] + wt[ib]
-                    fit = []
-                    for pm, lm, c in terms:
-                        if not (pa + pm) & guard:
-                            if wt[ia + lm] != want:
-                                raise SpecError("multiplication is not graded; "
-                                                "lift construction broken")
-                            fit.append((ia + lm, c))
-                    if fit:
-                        fits.append((ib, fit))
-                row = self.rows[w * nt + ia]
-                for w2 in range(nw):
-                    shift = weyl.mult(w, w2) * nt
-                    for ib, fit in fits:
-                        entry = row[w2 * nt + ib] = {}
-                        for j, c in fit:
-                            entry[shift + j] = c
+        self.packed = [bias + sum(x << s for x, s in zip(a, shifts)) for a in exps]
+        units = [tuple(int(t == k) for t in range(r)) for k in range(r)]
+        self.conj: list[list[list[tuple[int, int, int]]]] = []
+        for w in range(self.weyl.size):
+            mat = self.weyl.matrix(w)
+            linear = [{units[k]: mat[k][j] % p for k in range(r) if mat[k][j] % p}
+                      for j in range(r)]
+            gens = [_conj_monomial(linear, e, caps, p) for e in units]
+            polys = [{exps[0]: 1}]
+            for ib in range(1, len(exps)):
+                b = exps[ib]
+                t = max(k for k in range(r) if b[k])
+                polys.append(poly_mul(polys[ib - strides[t]], gens[t], caps, p))
+            terms_w = []
+            for ib, poly in enumerate(polys):
+                terms = []
+                for m, c in poly.items():
+                    lm = sum(x * s for x, s in zip(m, strides))
+                    if wt[lm] != wt[ib]:
+                        raise SpecError("multiplication is not graded; "
+                                        "lift construction broken")
+                    terms.append((sum(x << s for x, s in zip(m, shifts)), lm, c))
+                terms_w.append(terms)
+            self.conj.append(terms_w)
+
+    def _fits(self, ia: int, conjugates) -> list[tuple[int, list[tuple[int, int]]]]:
+        """X^a times each of the conjugates: (position, [(lin(a + m), c)])
+        over the terms with a + m under the caps, for each conjugate where
+        some term fits."""
+        pa, guard = self.packed[ia], self.guard
+        out = []
+        for ib, terms in enumerate(conjugates):
+            fit = None
+            for pm, lm, c in terms:
+                if not (pa + pm) & guard:
+                    if fit is None:
+                        fit = []
+                        out.append((ib, fit))
+                    fit.append((ia + lm, c))
+        return out
 
     def mult(self, i: int, j: int) -> dict[int, int]:
-        return self.rows[i].get(j, {})
+        """e_i e_j by the rule."""
+        nt = self.torus_dim
+        (w, ia), (w2, ib) = divmod(i, nt), divmod(j, nt)
+        shift = self.weyl.mult(w, w2) * nt
+        return {shift + k: c for _, fit in self._fits(ia, (self.conj[w][ib],))
+                for k, c in fit}
+
+    def row(self, i: int):
+        """The nonzero products of row i, in j order, as (j, shift, fit):
+        e_i e_j = sum c e_(shift + k) over (k, c) in fit.  For e_i = X^a w
+        the torus part X^a c_w(X^b) is found once per column b and serves
+        every X^b w2, shifted to w w2."""
+        nt = self.torus_dim
+        w, ia = divmod(i, nt)
+        fits = self._fits(ia, self.conj[w])
+        for w2 in range(self.weyl.size):
+            jw, shift = w2 * nt, self.weyl.mult(w, w2) * nt
+            for ib, fit in fits:
+                yield jw + ib, shift, fit
 
     def augmentation(self, i: int) -> int:
         return int(i % self.torus_dim == 0)  # a = 0 exactly when lin(a) = 0
@@ -615,18 +653,21 @@ class GradedGroupAlgebra:
 def build_group_algebra(spec: GroupSpec | str) -> GradedGroupAlgebra:
     """Construct the graded algebra for a finite spec.
 
-    Checks performed: unit, gradedness of every product (during table
-    construction), associativity, and that the augmentation is an algebra
-    map.  Associativity is proved at every dimension from the generating
-    set S of degree-one lifts plus, with an action, the Weyl generator
-    (see _verify_algebra), at two products per basis triple (i, j, s), s in
+    Products come from the smash-product rule (see GradedGroupAlgebra),
+    and nothing of the size of the product table is built.  Checks
+    performed: gradedness of every conjugate term, hence of every product
+    (while the rule is built), then the unit, associativity and that the
+    augmentation is an algebra map, over the rule's products one row at a
+    time (_verify_algebra).  Associativity is proved at every dimension
+    from the generating set S of degree-one lifts plus, with an action,
+    the Weyl generator, at two products per basis triple (i, j, s), s in
     S, whose sides are not both zero on sight: between 2 |S| times the
-    nonzero entries and 2 dim^2 |S|, plus at most dim |S| for the span.
+    nonzero products and 2 dim^2 |S|, plus at most dim |S| for the span.
 
     With an action, equivariant_splitting runs only as a check that
-    W-stable lifts exist and agree across levels: the table never reads
+    W-stable lifts exist and agree across levels: the rule never reads
     the lifts, since stability makes W act on them linearly through the
-    mod-p action matrix, which the table reads directly.
+    mod-p action matrix, which the rule reads directly.
     """
     if isinstance(spec, str):
         spec = parse_group_spec(spec)
@@ -643,7 +684,7 @@ def _product(vec: dict[int, int], images: dict[int, dict[int, int]],
              p: int) -> dict[int, int]:
     """vec times x, given images[k] = e_k x (x times vec, given x e_k).
     The first image is scaled, not merged, so a one-term vec, as nearly
-    every table entry is, costs one lookup and one scale."""
+    every product is, costs one lookup and one scale."""
     out: dict[int, int] = {}
     for k, c in vec.items():
         image = images.get(k)
@@ -660,7 +701,7 @@ def _product(vec: dict[int, int], images: dict[int, dict[int, int]],
 
 
 def _verify_algebra(alg: GradedGroupAlgebra) -> None:
-    """Check the unit, associativity and the augmentation of the table.
+    """Check the unit, associativity and the augmentation of the products.
 
     Associativity is proved from the generators S: the degree-one lifts
     (e_i, 0) and, with an action, the Weyl generator (0, 1).  Let
@@ -673,23 +714,24 @@ def _verify_algebra(alg: GradedGroupAlgebra) -> None:
     rank dim, then check (e_i e_j)s = e_i(e_j s) for all s in S and all
     basis i, j, which by bilinearity puts S in C.
 
-    Every check reads the rows of the table under check in place, so a
-    corrupted entry is read like any other, and an empty one as zero.  For
-    each (i, s) only the j with e_i e_j != 0, or e_i e_k != 0 for some k in
-    e_j s, are visited: for any other j, (e_i e_j)s = 0 = sum_k c_k e_i e_k
-    = e_i(e_j s).  Row by row, so the entries e_i e_k that a row reads are
-    read together.  A zero product has augmentation 0, so the augmentation
-    is checked on the nonzero entries and on the pairs of elements of W.
+    Every check reads the algebra's own products, from mult and row, so
+    a corrupted input of the rule is read like any other.  The columns
+    e_k s are held, dim |S| products; the rows e_i e_j are made one at a
+    time and dropped.  For each (i, s) only the j with e_i e_j != 0, or
+    e_i e_k != 0 for some k in e_j s, are visited: for any other j,
+    (e_i e_j)s = 0 = sum_k c_k e_i e_k = e_i(e_j s).  A zero product has
+    augmentation 0, so the augmentation is checked on the nonzero products
+    and on the pairs of elements of W.
     """
     n, p = alg.dim, alg.field.p
-    u, rows = alg.unit_index, alg.rows
-    if any(rows[u].get(i) != {i: 1} or rows[i].get(u) != {i: 1} for i in range(n)):
+    u = alg.unit_index
+    if any(alg.mult(u, i) != {i: 1} or alg.mult(i, u) != {i: 1} for i in range(n)):
         raise SpecError("unit element fails")
     r = alg.spec.rank
     gens = [alg.index[(tuple(int(t == i) for t in range(r)), 0)] for i in range(r)]
     if alg.weyl.size > 1:
         gens.append(alg.index[(tuple([0] * r), 1)])
-    right = {s: {k: row[s] for k, row in enumerate(rows) if s in row}
+    right = {s: {k: ks for k in range(n) if (ks := alg.mult(k, s))}
              for s in gens}  # e_k s
     elim = Eliminator(alg.field)
     elim.add_row({u: 1})
@@ -702,23 +744,28 @@ def _verify_algebra(alg: GradedGroupAlgebra) -> None:
                 frontier.append(vs)
     if elim.rank < n:
         raise SpecError("generators do not span the algebra")
-    zero: dict[int, int] = {}
+    left = {s: [[] for _ in range(n)] for s in gens}  # j with k in e_j s, by k
     for s, right_s in right.items():
-        left = [[] for _ in range(n)]  # j with k in e_j s, by k
         for j, js in right_s.items():
             for k in js:
-                left[k].append(j)
-        for i, row in enumerate(rows):
+                left[s][k].append(j)
+    aug = [alg.augmentation(k) for k in range(n)]
+    weyl = range(0, n, alg.torus_dim)
+    zero: dict[int, int] = {}
+    for i in range(n):
+        row = {}
+        for j, shift, fit in alg.row(i):
+            row[j] = prod = {}
+            for k, c in fit:
+                prod[shift + k] = c
+        for s, right_s in right.items():
             visit = set(row)
             for k in row:
-                visit.update(left[k])
+                visit.update(left[s][k])
             for j in visit:
                 if _product(row.get(j, zero), right_s, p) \
                         != _product(right_s.get(j, zero), row, p):
                     raise SpecError(f"associativity fails on basis triple {(i, j, s)}")
-    aug = [alg.augmentation(k) for k in range(n)]
-    weyl = range(0, n, alg.torus_dim)
-    for i, row in enumerate(rows):
         for j in set(row).union(weyl) if aug[i] else row:
             eps = 0
             for k, c in row.get(j, zero).items():

@@ -5,6 +5,7 @@ import itertools
 import math
 import pathlib
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -359,7 +360,7 @@ def test_splitting_trivial_weyl_is_identity():
 def test_stretch_algebra_builds_and_is_graded():
     alg = build_group_algebra("semidirect(torus(3,1,2), inversion)")
     assert alg.dim == 18
-    # every table entry degree-checked during construction; spot-check labels
+    # every conjugate term degree-checked during construction; spot-check labels
     assert labels(alg)[0] == "1"
     i = alg.index[((1, 1), 0)]
     assert alg.degree(i) == InternalDegree(3, 2, 1)
@@ -380,6 +381,18 @@ def test_power_inclusion_semidirect():
     f = power_inclusion(low, high)  # multiplicativity verified inside
     xw = low.index[((1,), 1)]
     assert f.columns[xw] == {high.index[((3,), 1)]: 1}
+
+
+def test_power_inclusion_rejects_a_product_it_does_not_carry(monkeypatch):
+    # X X = X^2 on cyclic(3^1) maps to X^3 X^3 = X^6; zero that one product
+    low = build_group_algebra("cyclic(3^1)")
+    high = build_group_algebra("cyclic(3^2)")
+    x3 = high.index[((3,), 0)]
+    real = high.mult
+    monkeypatch.setattr(high, "mult",
+                        lambda i, j: {} if (i, j) == (x3, x3) else real(i, j))
+    with pytest.raises(SpecError, match="not multiplicative"):
+        power_inclusion(low, high)
 
 
 def test_power_inclusion_rejects_gaps():
@@ -423,31 +436,43 @@ def test_ungraded_conjugation_is_rejected(monkeypatch):
         build_group_algebra("cyclic(3^1)")
 
 
-def test_augmentation_that_is_not_an_algebra_map_is_rejected():
-    # X^2 = 1 on cyclic(2^1) is the group algebra in the group basis:
-    # associative and spanned by X, but X is no longer in the ideal
-    alg = build_group_algebra("cyclic(2^1)")
+def squares_to_one(alg):
+    """X X = 1 on cyclic(2^1), the group algebra in the group basis, from
+    the conjugate c(X) = X + X^-1: its term X^-1, packed m and lin(m) of
+    X negated, fits exactly where a >= 1."""
     x = alg.index[((1,), 0)]
-    alg.rows[x][x] = {alg.unit_index: 1}
+    (pm, lm, c), = alg.conj[0][x]
+    alg.conj[0][x] = [(pm, lm, c), (-pm, -lm, c)]
+    assert alg.mult(x, x) == {alg.unit_index: 1} and alg.mult(alg.unit_index, x) == {x: 1}
+
+
+def test_augmentation_that_is_not_an_algebra_map_is_rejected():
+    # X X = 1 on cyclic(2^1) is associative and spanned by X, but X is no
+    # longer in the ideal
+    alg = build_group_algebra("cyclic(2^1)")
+    squares_to_one(alg)
     with pytest.raises(SpecError, match="augmentation is not an algebra map"):
         _verify_algebra(alg)
 
 
 def test_ideal_products_that_leave_the_ideal_are_rejected():
     alg = build_group_algebra("cyclic(2^1)")
-    x = alg.index[((1,), 0)]
-    alg.rows[x][x] = {alg.unit_index: 1}
+    squares_to_one(alg)
     with pytest.raises(AssertionError, match="left the ideal"):
         build_bar(alg, 2)
 
 
 def test_weyl_letter_pairs_are_expanded_where_the_table_entry_is_zero():
-    # w w = 1 zeroed: (w - 1)(w - 1) = -2w + 1 has augmentation -1, which
-    # only a comultiplication that expands the pair on a zero entry sees
+    # c_w(X) = 0, so w X = 0, and c_1(X) = X + 1: (w - 1) X = -X - 1 has
+    # augmentation -1, which only a comultiplication that expands the pair
+    # on a zero product sees; the walk over products outside W reads c(X)
+    # only times X^a, a > 0, where X^(a+1) + X^a stays in the ideal
     alg = build_group_algebra("semidirect(cyclic(3^1), inversion)")
-    w = alg.index[((0,), 1)]
-    assert alg.rows[w][w] == {alg.unit_index: 1}
-    alg.rows[w][w] = {}
+    x, w = alg.index[((1,), 0)], alg.index[((0,), 1)]
+    assert alg.mult(w, x) == {alg.index[((1,), 1)]: 2}
+    alg.conj[0][x] = alg.conj[0][x] + [(0, 0, 1)]  # packed m and lin(m) of X^0
+    alg.conj[1][x] = []
+    assert alg.mult(w, x) == {}
     with pytest.raises(AssertionError, match="left the ideal"):
         build_bar(alg, 2)
 
@@ -490,9 +515,13 @@ def test_uncorrupted_tables_pass_both_checks(text):
     "semidirect(torus(5,1,2), Z4:[[0,-1],[1,0]])",
     "semidirect(torus(3,2,2), inversion)"])
 def test_table_and_comultiplication_match_the_pair_by_pair_reference(text):
+    # mult pair by pair and the row walk both give the reference table
     alg = build_group_algebra(text)
-    assert {(i, j): v for i, row in enumerate(alg.rows)
-            for j, v in row.items()} == reference_table(alg)
+    n = alg.dim
+    table = {(i, j): v for i in range(n) for j in range(n) if (v := alg.mult(i, j))}
+    assert table == reference_table(alg)
+    assert {(i, j): {shift + k: c for k, c in fit}
+            for i in range(n) for j, shift, fit in alg.row(i)} == table
     bar = build_bar(alg, 1)
     bits, mask = bar.bits, (1 << bar.bits) - 1
     minus, plus = bar._comult
@@ -505,40 +534,74 @@ def test_table_and_comultiplication_match_the_pair_by_pair_reference(text):
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(ORACLE_SPECS), st.data())
 def test_generator_proof_catches_what_brute_force_catches(text, data):
+    # one conjugate c_w(X^b) corrupted: cleared or not, then the
+    # coefficient of one monomial X^m moved by c; c_1(X^m) = X^m is the
+    # one term that gives the packed m
     alg = build_group_algebra(text)
-    p, n = alg.field.p, alg.dim
-    i = data.draw(st.integers(0, n - 1))
-    j = data.draw(st.integers(0, n - 1))
-    k = data.draw(st.integers(0, n - 1))
+    p, nt = alg.field.p, alg.torus_dim
+    w = data.draw(st.integers(0, alg.weyl.size - 1))
+    ib = data.draw(st.integers(0, nt - 1))
+    lm = data.draw(st.integers(0, nt - 1))
     c = data.draw(st.integers(1, p - 1))
-    entry = {} if data.draw(st.booleans()) else dict(alg.mult(i, j))
-    entry[k] = (entry.get(k, 0) + c) % p
-    alg.rows[i][j] = {t: v for t, v in entry.items() if v}
+    (pm, _, _), = alg.conj[0][lm]
+    terms = [] if data.draw(st.booleans()) else alg.conj[w][ib]
+    coeffs = {(pt, lt): ct for pt, lt, ct in terms}
+    coeffs[pm, lm] = (coeffs.get((pm, lm), 0) + c) % p
+    alg.conj[w][ib] = [(pt, lt, ct) for (pt, lt), ct in coeffs.items() if ct]
     if brute_force_failing_triple(alg) is not None:
         with pytest.raises(SpecError):
             _verify_algebra(alg)
 
 
+def packed_as(alg, b, e):
+    """Give the one term of c(X^b), on a spec without an action, the
+    packed m of X^e, e > b: X^a X^b still lands on X^(a+b), but fits only
+    where a + e is under the caps, so it is 0 for the a in between."""
+    ib = alg.index[(b, 0)]
+    (_, lm, c), = alg.conj[0][ib]
+    (pm, _, _), = alg.conj[0][alg.index[(e, 0)]]
+    alg.conj[0][ib] = [(pm, lm, c)]
+
+
 def test_corruption_above_dim_200_is_caught():
+    # X^240 X^2 = 0, while (X^240 X) X = X^242; right products by the
+    # generator X, and so the span, are untouched
     alg = build_group_algebra("cyclic(3^5)")
     assert alg.dim == 243
-    x, x2, x5 = (alg.index[((e,), 0)] for e in (1, 2, 5))
-    alg.rows[x][x] = {x2: 1, x5: 1}
+    packed_as(alg, (2,), (3,))
+    x240, x2 = (alg.index[((e,), 0)] for e in (240, 2))
+    assert alg.mult(x240, x2) == {} and alg.mult(0, x2) == {x2: 1}
     with pytest.raises(SpecError, match="associativity fails"):
         _verify_algebra(alg)
 
 
 def test_generators_that_do_not_span_are_rejected():
+    # X X = 0 on cyclic(3^1), while 1 X = X
     alg = build_group_algebra("cyclic(3^1)")
+    packed_as(alg, (1,), (2,))
     x = alg.index[((1,), 0)]
-    alg.rows[x][x] = {}
+    assert alg.mult(x, x) == {} and alg.mult(0, x) == {x: 1}
     with pytest.raises(SpecError, match="generators do not span"):
         _verify_algebra(alg)
 
 
+def test_set_up_holds_no_product_table():
+    # the 162-dim algebra's product table alone held 2.13 MiB live; the
+    # rule keeps one conjugate per (w, b)
+    tracemalloc.start()
+    try:
+        alg = build_group_algebra("semidirect(torus(3,2,2), inversion)")
+        live, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert alg.dim == 162
+    assert live < 512 * 1024
+
+
 def test_verify_makes_dim2_times_generators_products(monkeypatch):
-    # _product is every product _verify_algebra forms: two per visited
-    # triple (i, j, s), and at most dim |S| for the span.  On cyclic(2^6),
+    # _product is every product _verify_algebra forms beyond the rule's
+    # own products (read from mult and row): two per visited triple
+    # (i, j, s), and at most dim |S| for the span.  On cyclic(2^6),
     # with S the one lift X, the rows visited for (j, X) are exactly those
     # with X^i X^j != 0, since X^i X^(j+1) != 0 implies it
     calls = []
@@ -551,7 +614,7 @@ def test_verify_makes_dim2_times_generators_products(monkeypatch):
     monkeypatch.setattr(groups, "_product", counted)
     alg = build_group_algebra("cyclic(2^6)")
     n, s = alg.dim, alg.spec.rank
-    nonzero = sum(1 for row in alg.rows for v in row.values() if v)
+    nonzero = sum(1 for i in range(n) for j in range(n) if alg.mult(i, j))
     assert nonzero == n * (n + 1) // 2
     assert 2 * nonzero * s <= len(calls) <= 2 * nonzero * s + n * s
     assert len(calls) <= 2 * n * n * s + n * s
