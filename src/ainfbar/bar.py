@@ -62,18 +62,18 @@ are not minimal, and rank eliminates, as follows.
 Letters are numbered in the algebra's basis order, Weyl-major: X^a w is
 w |T| + lin(a), so the letters X^a come first and every letter w - 1
 after them (see _eliminated_rank).  One packed comultiplication table in
-that order serves everything: blocks, ranks, kernels and BlockBasis
-representatives.  rank(n, s) reads the pivot leads of rank(n - 1, s),
-the smallest words of the boundaries in the block, and skips those
-source words: the others span a complement of the boundaries, which d
-kills, so the rank is the same.  rank reads the leads off the words
-themselves: when the first letter's lex-smallest pair [a|b] has
-a < u_1, the lead of d[u_1|..|u_n] is [a|b|u_2|..|u_n], and otherwise
-it follows from [a|b] and the lead of d[u_2|..|u_n].  A word's row is
-built only when a reduction first reads its pivot, or when its lead is
-taken; rank's table, linalg.LeadRows, then reduces it only until its
-lead is free, since rank needs the leads and their count, not reduced
-rows.
+that order, with no sign in it, serves everything: blocks, ranks,
+kernels and BlockBasis representatives; d signs each position as it
+reads it.  rank(n, s) reads the pivot leads of rank(n - 1, s), the
+smallest words of the boundaries in the block, and skips those source
+words: the others span a complement of the boundaries, which d kills, so
+the rank is the same.  rank reads the leads off the words themselves:
+when the first letter's lex-smallest pair [a|b] has a < u_1, the lead of
+d[u_1|..|u_n] is [a|b|u_2|..|u_n], and otherwise it follows from [a|b]
+and the lead of d[u_2|..|u_n].  A word's row is built only when a
+reduction first reads its pivot, or when its lead is taken; rank's
+table, linalg.LeadRows, then reduces it only until its lead is free,
+since rank needs the leads and their count, not reduced rows.
 """
 
 from __future__ import annotations
@@ -140,12 +140,11 @@ class BarComplex:
         self._leads: dict[tuple[int, InternalDegree], set[int]] = {}
         self._cohomology: Optional[CohomologyData] = None
 
-    def _build_comult(self) -> tuple[dict, dict]:
-        """Packed comultiplication, one table per sign: for each letter u,
-        the pairs (a, b) with c_ab^u != 0 as (code of [a|b], coefficient),
-        in code order.  The first table holds the negated coefficients,
-        for the positions i = 0, 2, 4, .. (from 0) whose sign (-1)^(i+1) is
-        -1.  Letter a is e_a, or e_a - 1 when e_a is in W (augmentation 1).
+    def _build_comult(self) -> dict[int, list[tuple[int, int]]]:
+        """Packed comultiplication, one table: for each letter u, the pairs
+        (a, b) with c_ab^u != 0 as (code of [a|b], coefficient), in code
+        order, with no sign: _d_packed signs each position as it reads it.
+        Letter a is e_a, or e_a - 1 when e_a is in W (augmentation 1).
         Pairs of letters outside W are read in one walk of the algebra's
         rule, row by row over its nonzero products e_a e_b, each as the
         terms (k, c) of its torus part and its shift to w w2 (row), with no
@@ -171,7 +170,7 @@ class BarComplex:
              for b, shift, fit in alg.row(a) if not aug[b]),
             ((a, b, 0, expanded(a, b).items()) for a in self.letters
              for b in (self.letters if aug[a] else weyl)))
-        plus: dict[int, list[tuple[int, int]]] = {u: [] for u in self.letters}
+        comult: dict[int, list[tuple[int, int]]] = {u: [] for u in self.letters}
         for a, b, shift, terms in products:
             ab, eps = (a << bits) | b, 0
             for k, c in terms:
@@ -179,14 +178,12 @@ class BarComplex:
                 if aug[u]:
                     eps += c
                 if u != unit:
-                    plus[u].append((ab, c))
+                    comult[u].append((ab, c))
             if eps % p:
                 raise AssertionError("product of ideal elements left the ideal")
-        for pairs in plus.values():
+        for pairs in comult.values():
             pairs.sort()
-        minus = {u: [(ab, p - c) for ab, c in pairs]
-                 for u, pairs in plus.items()}
-        return minus, plus
+        return comult
 
     def _lead_pairs(self) -> list[int]:
         """Per letter u, the code ab of its lex-smallest pair [a|b] in the
@@ -194,7 +191,7 @@ class BarComplex:
         lead of every word starting with u, else -ab; 0 when u has no
         pairs.  Indexed by letter."""
         heads = [0] * self.algebra.dim
-        for u, pairs in self._comult[0].items():
+        for u, pairs in self._comult.items():
             if pairs:
                 ab = min(ab for ab, _ in pairs)
                 heads[u] = ab if ab >> self.bits < u else -ab
@@ -312,9 +309,9 @@ class BarComplex:
 
     def _d_packed(self, code: int, n: int) -> dict[int, int]:
         """Differential of the packed word of length n, as a dict over
-        packed words of length n + 1.  Position i (from 0) carries the
-        sign (-1)^(i+1); the letter there is split into every pair [a|b]
-        of the comultiplication table, in table order."""
+        packed words of length n + 1.  The letter at position i (from 0)
+        is split into every pair [a|b] of the comultiplication table, in
+        table order, times the sign (-1)^(i+1), p - 1 at even i."""
         p, bits, comult = self.field.p, self.bits, self._comult
         mask = (1 << bits) - 1
         out: dict[int, int] = {}
@@ -324,9 +321,10 @@ class BarComplex:
             u = (code >> shift) & mask
             base = ((code >> (shift + bits)) << (shift + 2 * bits)) \
                 | (code & ((1 << shift) - 1))
-            for ab, c in comult[i & 1][u]:
+            sign = 1 if i & 1 else p - 1
+            for ab, c in comult[u]:
                 target = base | (ab << shift)
-                val = (get(target, 0) + c) % p
+                val = (get(target, 0) + sign * c) % p
                 if val:
                     out[target] = val
                 else:

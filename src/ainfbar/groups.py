@@ -430,14 +430,23 @@ def conj_generator_images(weyl: WeylGroup, spec: GroupSpec) -> list[list[dict]]:
     return images
 
 
-def _conj_monomial(images_w: list[dict], exp: tuple[int, ...],
-                   caps: tuple[int, ...], p: int) -> dict:
-    r = len(caps)
-    acc = {tuple([0] * r): 1}
-    for j, e in enumerate(exp):
-        for _ in range(e):
-            acc = poly_mul(acc, images_w[j], caps, p)
-    return acc
+def monomial_images(gens: list[dict], exps, caps: tuple[int, ...], p: int) -> dict:
+    """{b: image of X^b} under the algebra map X_t -> gens[t], for each b
+    in exps and each b below it that the recurrence reads: the image of
+    X^(b - e_t) times gens[t], t the last coordinate with b_t > 0, one
+    truncated product per monomial."""
+    zero = tuple(0 for _ in caps)
+    images = {zero: {zero: 1}}
+    for b in exps:
+        todo = []
+        while b not in images:
+            t = max(k for k, x in enumerate(b) if x)
+            below = b[:t] + (b[t] - 1,) + b[t + 1:]
+            todo.append((b, t, below))
+            b = below
+        for b, t, below in reversed(todo):
+            images[b] = poly_mul(images[below], gens[t], caps, p)
+    return images
 
 
 # -- equivariant splitting ------------------------------------------------------
@@ -450,9 +459,11 @@ def equivariant_splitting(spec: GroupSpec) -> dict[int, list[dict]]:
 
     The projector pi = |W|^{-1} sum_w rho(w) q rho(w)^{-1}, with q the naive
     projection onto span(Y_i) along all other monomials, is applied at the
-    top depth; lower levels are the Frobenius-consistent truncations.
-    Verified here: congruence to Y_i mod J^2, exact W-stability with the
-    mod-p action matrix, and z^p-consistency across levels.
+    top depth and checked there (_check_lifts).  Lower levels are its
+    truncations, which need no check: Frobenius gives (sum c_e Y^e)^p =
+    sum c_e Y^(pe), so the p-th power of a level-(l+1) lift is iota of
+    its truncation, iota: Y^e -> Y^(pe) the W-equivariant inclusion of
+    level l, and each truncation is W-stable under the level-l action.
     """
     if spec.colimit:
         raise SpecError("splitting choices exist level by level; pass a finite spec")
@@ -461,7 +472,6 @@ def equivariant_splitting(spec: GroupSpec) -> dict[int, list[dict]]:
         raise SpecError("equivariant splitting needs uniform torus depths")
     p, r = spec.p, spec.rank
     weyl = realize_weyl(spec)
-    caps = tuple(p ** d for d in spec.depths)
     images = conj_generator_images(weyl, spec)
     inv_order = pow(weyl.size, -1, p)
     top = []
@@ -470,8 +480,8 @@ def equivariant_splitting(spec: GroupSpec) -> dict[int, list[dict]]:
         for w in range(weyl.size):
             moved = images[weyl.inverse(w)][i]  # rho(w^-1)(Y_i)
             for e, c in moved.items():
-                if sum(e) == 1:  # the linear part, moved by rho(w)
-                    vec_add_scaled(acc, _conj_monomial(images[w], e, caps, p), c, p)
+                if sum(e) == 1:  # the linear part Y_k, moved by rho(w)
+                    vec_add_scaled(acc, images[w][e.index(1)], c, p)
         top.append({e: (c * inv_order) % p for e, c in acc.items()})
     _check_lifts(top, images, weyl, spec)
     lifts = {n: top}
@@ -483,6 +493,9 @@ def equivariant_splitting(spec: GroupSpec) -> dict[int, list[dict]]:
 
 
 def _check_lifts(top: list[dict], images, weyl: WeylGroup, spec: GroupSpec) -> None:
+    """Congruence to Y_i mod J^2 and exact W-stability, rho(w) X~_j =
+    sum_k (A_w mod p)_{kj} X~_k, with rho(w) of the lifts' support from
+    monomial_images of images[w] = [rho(w) Y_j], once per w."""
     p, r = spec.p, spec.rank
     caps = tuple(p ** d for d in spec.depths)
     for i, v in enumerate(top):
@@ -494,13 +507,14 @@ def _check_lifts(top: list[dict], images, weyl: WeylGroup, spec: GroupSpec) -> N
                 want = 1 if e[i] == 1 else 0
                 if c % p != want:
                     raise SpecError(f"lift {i} is not congruent to Y_{i+1} mod J^2")
-    # exact stability: rho(w) X~_j = sum_k (A_w mod p)_{kj} X~_k
+    support = sorted({e for v in top for e in v})
     for w in range(weyl.size):
         a = weyl.matrix(w)
+        conj = monomial_images(images[w], support, caps, p)
         for j in range(r):
             moved: dict = {}
             for e, c in top[j].items():
-                vec_add_scaled(moved, _conj_monomial(images[w], e, caps, p), c, p)
+                vec_add_scaled(moved, conj[e], c, p)
             expect: dict = {}
             for k in range(r):
                 vec_add_scaled(expect, top[k], a[k][j] % p, p)
@@ -560,15 +574,13 @@ class GradedGroupAlgebra:
 
     def _build_rule(self, exps: list[tuple[int, ...]]) -> None:
         """conj[w][lin(b)] is c_w(X^b) as terms (packed m, lin(m), coeff),
-        built from the conjugate a coordinate lower by one truncated
-        product, c_w(X^b) = c_w(X^(b - e_t)) c_w(X_t), t the last
-        coordinate with b_t > 0, and c_w(X_t) = sum_k (A_w mod p)_{kt} X_k.
-        Each term is checked to be graded.  packed[lin(a)] and guard make
-        the fit test "a + m under the caps" one add and one mask: exponents
-        sit in fields of width + 1 bits, 2^width >= every cap, m as it is
-        and a plus 2^width - cap_t in field t, so field t of the sum stays
-        below 2^(width + 1) and sets its top bit exactly when
-        a_t + m_t >= cap_t."""
+        by monomial_images of the algebra map c_w: X_t -> sum_k
+        (A_w mod p)_{kt} X_k.  Each term is checked to be graded.
+        packed[lin(a)] and guard make the fit test "a + m under the caps"
+        one add and one mask: exponents sit in fields of width + 1 bits,
+        2^width >= every cap, m as it is and a plus 2^width - cap_t in
+        field t, so field t of the sum stays below 2^(width + 1) and sets
+        its top bit exactly when a_t + m_t >= cap_t."""
         p, caps, r, wt = self.spec.p, self.caps, self.spec.rank, self.weights
         strides = [math.prod(caps[t + 1:]) for t in range(r)]
         width = (max(caps) - 1).bit_length()
@@ -582,16 +594,11 @@ class GradedGroupAlgebra:
             mat = self.weyl.matrix(w)
             linear = [{units[k]: mat[k][j] % p for k in range(r) if mat[k][j] % p}
                       for j in range(r)]
-            gens = [_conj_monomial(linear, e, caps, p) for e in units]
-            polys = [{exps[0]: 1}]
-            for ib in range(1, len(exps)):
-                b = exps[ib]
-                t = max(k for k in range(r) if b[k])
-                polys.append(poly_mul(polys[ib - strides[t]], gens[t], caps, p))
+            polys = monomial_images(linear, exps, caps, p)
             terms_w = []
-            for ib, poly in enumerate(polys):
+            for ib, b in enumerate(exps):
                 terms = []
-                for m, c in poly.items():
+                for m, c in polys[b].items():
                     lm = sum(x * s for x, s in zip(m, strides))
                     if wt[lm] != wt[ib]:
                         raise SpecError("multiplication is not graded; "

@@ -1,8 +1,9 @@
 """Test-only references, computed the long way for the tests to compare the
-library against: the products of a GradedGroupAlgebra pair by pair, its
-bar's comultiplication, kernels by position, the reduced row echelon form
-by back-substitution, and the transfer's tabulated tuples and Stasheff
-residuals by a walk over every label tuple."""
+library against: the conjugates of a monomial expanded from scratch, the
+products of a GradedGroupAlgebra pair by pair, its bar's comultiplication,
+kernels by position, the reduced row echelon form by back-substitution,
+and the transfer's tabulated tuples and Stasheff residuals by a walk over
+every label tuple."""
 
 import itertools
 from typing import Iterable
@@ -21,11 +22,23 @@ def reference_product(alg, u: dict, v: dict) -> dict:
     return out
 
 
+def reference_conjugate(images_w: list[dict], exp: tuple[int, ...], caps, p: int) -> dict:
+    """The image of X^exp under the algebra map X_j -> images_w[j], from
+    scratch: the product of images_w[j]^exp_j, |exp| truncated products.
+    With images_w = [rho(w) Y_j] it is rho(w) Y^exp."""
+    acc = {tuple(0 for _ in caps): 1}
+    for j, e in enumerate(exp):
+        for _ in range(e):
+            acc = poly_mul(acc, images_w[j], caps, p)
+    return acc
+
+
 def reference_table(alg) -> dict:
     """Nonzero entries {(i, j): e_i e_j}: for each basis pair (X^a w, X^b w2),
     w X^b w^-1 as a product of |b| linear images of the generators through
-    the action matrix mod p, each term shifted by a, its key looked up, and
-    its degree checked as a sum of InternalDegree objects."""
+    the action matrix mod p (reference_conjugate), each term shifted by a,
+    its key looked up, and its degree checked as a sum of InternalDegree
+    objects."""
     p, caps, r = alg.field.p, alg.caps, alg.spec.rank
     table = {}
     for i, (a, w) in enumerate(alg.basis_keys):
@@ -33,10 +46,7 @@ def reference_table(alg) -> dict:
         linear = [{tuple(int(t == k) for t in range(r)): mat[k][j] % p
                    for k in range(r) if mat[k][j] % p} for j in range(r)]
         for j, (b, w2) in enumerate(alg.basis_keys):
-            conj = {tuple([0] * r): 1}
-            for t, e in enumerate(b):
-                for _ in range(e):
-                    conj = poly_mul(conj, linear[t], caps, p)
+            conj = reference_conjugate(linear, b, caps, p)
             out: dict = {}
             for m, c in conj.items():
                 e = tuple(x + y for x, y in zip(a, m))

@@ -972,10 +972,8 @@ def relabel_a_major(bar):
     nt, nw, bits = alg.torus_dim, alg.weyl.size, bar.bits
     label = [(u % nt) * nw + u // nt for u in range(alg.dim)]
     mask = (1 << bits) - 1
-    bar._comult = tuple(
-        {label[u]: [((label[ab >> bits] << bits) | label[ab & mask], c)
-                    for ab, c in pairs] for u, pairs in table.items()}
-        for table in bar._comult)
+    bar._comult = {label[u]: [((label[ab >> bits] << bits) | label[ab & mask], c)
+                              for ab, c in pairs] for u, pairs in bar._comult.items()}
     weights = [0] * alg.dim
     for u, wt in enumerate(bar.letter_wt):
         weights[label[u]] = wt

@@ -87,3 +87,20 @@ def test_long_transfer_reports_are_pinned(argv, sha):
     code, text, _ = cli.run_report(["transfer"] + argv + ["--no-cache"])
     assert code == 0
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == sha
+
+
+@pytest.mark.parametrize("spec,sha", [
+    # two levels under a non-inversion action
+    ("semidirect(torus(2,2,2), Z3:[[0,3],[1,3]])",
+     "b0674a4cf2d7f8c2f411c3e69ebc40bb8046f8b0f77b798be829e3d3487f42a9"),
+    # three levels, the 1458-dim algebra's lifts
+    ("semidirect(torus(3,3,2), inversion)",
+     "1a29a376de4b4e53d046c53d28e35f0e86d401b0c2ad46a7f866be72400679e5"),
+    # one level under a Z3 action over p = 5
+    ("semidirect(torus(5,1,2), Z3:[[0,-1],[1,-1]])",
+     "6c3393cc0400f3a6382ecf7ffc1150c2f69f8f88152a76ecfec1dc16bb5d2f0a"),
+], ids=["sd222-z3", "sd332-inversion", "sd512-z3"])
+def test_splitting_reports_are_pinned(spec, sha):
+    code, text, _ = cli.run_report(["splitting", "--spec", spec, "--no-cache"])
+    assert code == 0
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == sha
